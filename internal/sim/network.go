@@ -125,6 +125,10 @@ type Network struct {
 	resume      *runState
 	savedEvents []event.Event
 
+	// resumeErr is why Run returned nil without running: the snapshot found
+	// at construction could not be restored. Run(cfg) reports it.
+	resumeErr error
+
 	// haltAt, when non-nil, abandons the run right before executing query
 	// cycle qc of simulation cycle cycle — the crash-restart tests' stand-in
 	// for the process dying mid-interval (WAL appends are already flushed to

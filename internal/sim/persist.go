@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -298,34 +299,38 @@ func (n *Network) captureState(res *Result, lastAbove []int, everAbove []bool, r
 // (or handed to the overlay's Resume) with its sequence numbers registered as
 // recovered, so the deterministic re-execution of that interval neither loses
 // nor double-counts a rating. Returns the boundary reputation vector and the
-// cycle index to resume at.
-func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([]float64, int) {
+// cycle index to resume at, or an error when the snapshot's content cannot
+// be restored (a malformed graph state, a missing substrate state, or an
+// overlay that refuses the resume).
+func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([]float64, int, error) {
 	st := n.resume
 	n.resume = nil
 	persist.RecoveryStarted()
 	obs.Logger().Info("resuming from interval-boundary snapshot",
 		"state_dir", n.Cfg.StateDir, "cycle", st.Cycle, "seq", st.Seq)
-	n.Graph.ImportState(st.Graph)
+	if err := n.Graph.ImportState(st.Graph); err != nil {
+		return nil, 0, fmt.Errorf("sim: snapshot graph state: %w", err)
+	}
 	if n.Filter != nil {
 		if st.Filter == nil {
-			panic("sim: snapshot is missing the filter state")
+			return nil, 0, errors.New("sim: snapshot is missing the filter state")
 		}
 		n.Filter.ImportState(*st.Filter)
 	}
 	switch e := n.inner.(type) {
 	case *eigentrust.Engine:
 		if st.EngineET == nil {
-			panic("sim: snapshot is missing the EigenTrust engine state")
+			return nil, 0, errors.New("sim: snapshot is missing the EigenTrust engine state")
 		}
 		e.ImportState(*st.EngineET)
 	case *ebay.Engine:
 		if st.EngineEBay == nil {
-			panic("sim: snapshot is missing the eBay engine state")
+			return nil, 0, errors.New("sim: snapshot is missing the eBay engine state")
 		}
 		e.ImportState(*st.EngineEBay)
 	case *trustguard.Engine:
 		if st.EngineTG == nil {
-			panic("sim: snapshot is missing the TrustGuard engine state")
+			return nil, 0, errors.New("sim: snapshot is missing the TrustGuard engine state")
 		}
 		e.ImportState(*st.EngineTG)
 	default:
@@ -333,7 +338,7 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 	}
 	if n.FaultPlan != nil {
 		if st.Fault == nil {
-			panic("sim: snapshot is missing the fault plan state")
+			return nil, 0, errors.New("sim: snapshot is missing the fault plan state")
 		}
 		n.FaultPlan.ImportState(*st.Fault)
 	}
@@ -368,12 +373,12 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 	reps := append([]float64(nil), st.Reps...)
 	if n.Overlay != nil {
 		if err := n.Overlay.Resume(st.DrainedSeqs, st.Seq, st.Reps); err != nil {
-			panic(fmt.Sprintf("sim: overlay resume: %v", err))
+			return nil, 0, fmt.Errorf("sim: overlay resume: %w", err)
 		}
 	} else if n.simWAL != nil {
 		n.replaySimWAL(st.Seq)
 	}
-	return reps, st.Cycle
+	return reps, st.Cycle, nil
 }
 
 // replaySimWAL replays the run-wide WAL's acknowledged tail — rating records

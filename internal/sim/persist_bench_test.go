@@ -87,7 +87,11 @@ func BenchmarkCrashRecovery10k(b *testing.B) {
 		}
 		la := make([]int, cfg.NumColluders)
 		ea := make([]bool, cfg.NumColluders)
-		if _, start := net.applyResume(res, la, ea); start != 1 {
+		_, start, err := net.applyResume(res, la, ea)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if start != 1 {
 			b.Fatalf("resumed at cycle %d, want 1", start)
 		}
 		net.abandon()

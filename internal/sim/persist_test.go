@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"socialtrust/internal/fault"
 	"socialtrust/internal/obs/event"
+	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/eigentrust"
 )
@@ -299,7 +301,9 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			gs := n1.Graph.ExportState()
 			fs := n1.Filter.ExportState()
 			es := n1.inner.(*eigentrust.Engine).ExportState()
-			n2.Graph.ImportState(gs)
+			if err := n2.Graph.ImportState(gs); err != nil {
+				t.Fatal(err)
+			}
 			n2.Filter.ImportState(fs)
 			n2.inner.(*eigentrust.Engine).ImportState(es)
 			if got := n2.Graph.ExportState(); !reflect.DeepEqual(gs, got) {
@@ -337,5 +341,31 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				t.Fatal("post-restore Adjust+Update diverged from the never-persisted instance")
 			}
 		})
+	}
+}
+
+// TestResumeRejectsMalformedGraphState pins that a snapshot whose social
+// graph state is malformed makes the resumed run return an error instead
+// of panicking.
+func TestResumeRejectsMalformedGraphState(t *testing.T) {
+	cfg := smallConfig(MCM, EngineEigenTrust, 0.2, true)
+	dir := t.TempDir()
+	runUntilCrash(t, cfg, dir, haltPoint{cycle: 2, qc: 3})
+	path := filepath.Join(dir, "snapshot.st")
+	var st runState
+	if err := persist.LoadSnapshot(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Graph.Edges) == 0 {
+		t.Fatal("snapshot holds no edges to corrupt")
+	}
+	st.Graph.Edges = append(st.Graph.Edges, st.Graph.Edges[len(st.Graph.Edges)-1])
+	if err := persist.WriteSnapshot(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	cfg.StateDir = dir
+	res, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "graph state") {
+		t.Fatalf("Run over a malformed graph snapshot = (%v, %v), want a graph state error", res, err)
 	}
 }

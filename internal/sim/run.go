@@ -156,6 +156,9 @@ func Run(cfg Config) (*Result, error) {
 		defer event.Disable()
 	}
 	res := net.Run()
+	if net.resumeErr != nil {
+		return nil, net.resumeErr
+	}
 	if rec != nil {
 		events := rec.Drain()
 		if len(net.savedEvents) > 0 {
@@ -221,7 +224,9 @@ func traceCapacity(cfg Config) int {
 	return c
 }
 
-// Run executes the simulation on a constructed network.
+// Run executes the simulation on a constructed network. It returns nil when
+// the run was halted by a test hook or when the state directory's snapshot
+// could not be restored; Run(cfg) reports the latter as an error.
 func (n *Network) Run() *Result {
 	cfg := n.Cfg
 	res := &Result{
@@ -253,7 +258,12 @@ func (n *Network) Run() *Result {
 		// positions make the re-execution regenerate exactly the ratings the
 		// dead process generated; replayed sequence numbers are acknowledged
 		// without double-counting.
-		reps, start = n.applyResume(res, lastAbove, everAbove)
+		var err error
+		if reps, start, err = n.applyResume(res, lastAbove, everAbove); err != nil {
+			n.resumeErr = err
+			n.abandon()
+			return nil
+		}
 		lastTotal, lastColl = res.TotalRequests, res.RequestsToColluders
 	} else {
 		n.startFresh(res, lastAbove, everAbove, reps)

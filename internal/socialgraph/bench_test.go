@@ -66,8 +66,8 @@ func BenchmarkClosenessFrom(b *testing.B) {
 }
 
 // BenchmarkClosenessPerPair is the same workload as BenchmarkClosenessFrom
-// issued as 64 independent per-pair queries — the before/after comparison
-// for the batched path.
+// issued as 64 one-ratee Closeness calls, each its own batch and BFS — the
+// cost of not grouping a rater's pairs.
 func BenchmarkClosenessPerPair(b *testing.B) {
 	g := benchGraph()
 	p := DefaultClosenessParams()
@@ -80,5 +80,46 @@ func BenchmarkClosenessPerPair(b *testing.B) {
 		for _, j := range ratees {
 			g.Closeness(NodeID(i%500), j, p)
 		}
+	}
+}
+
+// denseGraph mirrors the social graph of the pipeline benchmark's
+// dense-fresh workload: n nodes each growing six random friendships, plus
+// a few interactions per node.
+func denseGraph(n int) *Graph {
+	g := New(n)
+	rng := xrand.New(1)
+	for i := 0; i < n; i++ {
+		for d := 0; d < 6; d++ {
+			if j := rng.Intn(n); j != i {
+				g.AddRelationship(NodeID(i), NodeID(j), Relationship{Kind: Friendship})
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for k := 0; k < 2; k++ {
+			g.RecordInteraction(NodeID(i), NodeID(rng.Intn(n)), float64(1+rng.Intn(5)))
+		}
+	}
+	return g
+}
+
+// BenchmarkClosenessFromDense10k is the closeness kernel as the dense-fresh
+// pipeline workload drives it: a 10k-node graph, a 3-hop cutoff and four
+// random ratees per rater, so nearly every ratee takes the BFS path case.
+func BenchmarkClosenessFromDense10k(b *testing.B) {
+	const n = 10_000
+	g := denseGraph(n)
+	p := DefaultClosenessParams()
+	p.MaxPathHops = 3
+	rng := xrand.New(2)
+	ratees := make([][]NodeID, 1024)
+	for k := range ratees {
+		ratees[k] = []NodeID{NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ClosenessFrom(NodeID(i%n), ratees[i%len(ratees)], p)
 	}
 }

@@ -1,5 +1,24 @@
 package socialgraph
 
+import (
+	"slices"
+
+	"socialtrust/internal/obs"
+)
+
+// Kernel counters, tallied locally and added once per BFS.
+var (
+	mBFSRuns       = obs.C("socialgraph_bfs_runs_total")
+	mBFSVisited    = obs.C("socialgraph_bfs_nodes_visited_total")
+	mBFSEarlyExits = obs.C("socialgraph_bfs_early_exits_total")
+)
+
+func init() {
+	obs.Help("socialgraph_bfs_runs_total", "Bounded breadth-first searches run for closeness path cases and shortest-path queries.")
+	obs.Help("socialgraph_bfs_nodes_visited_total", "Nodes discovered by those searches, the source included.")
+	obs.Help("socialgraph_bfs_early_exits_total", "Searches stopped before the hop cutoff because every target had been discovered.")
+}
+
 // ClosenessParams configures the Ωc computation.
 type ClosenessParams struct {
 	// Weighted selects the falsification-resistant relationship term of
@@ -46,144 +65,202 @@ func (p ClosenessParams) MaxHops() int { return p.maxHops() }
 //   - unreachable (or i == j): 0 — a node has no rating relationship with
 //     itself, and strangers with no social path have no measurable
 //     closeness.
+//
+// It is a one-ratee ClosenessFrom batch.
 func (g *Graph) Closeness(i, j NodeID, p ClosenessParams) float64 {
 	g.validate(i, j)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.closenessLocked(i, j, p)
-}
-
-func (g *Graph) closenessLocked(i, j NodeID, p ClosenessParams) float64 {
-	if i == j {
-		return 0
-	}
-	if g.adjacentLocked(i, j) {
-		return g.adjacentClosenessLocked(i, j, p)
-	}
-	common := g.commonFriendsLocked(i, j, nil)
-	if len(common) > 0 {
-		sum := 0.0
-		for _, k := range common {
-			sum += (g.adjacentClosenessLocked(i, k, p) + g.adjacentClosenessLocked(k, j, p)) / 2
-		}
-		return sum
-	}
-	path := g.shortestPathLocked(i, j, p.maxHops())
-	if path == nil {
-		return 0
-	}
-	min := -1.0
-	for h := 0; h+1 < len(path); h++ {
-		c := g.adjacentClosenessLocked(path[h], path[h+1], p)
-		if min < 0 || c < min {
-			min = c
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
-// adjacentClosenessLocked evaluates the adjacent case of Equation 2 /
-// Equation 10; callers hold at least the topology read lock. Interaction
-// reads go through the striped row locks, not g.mu.
-func (g *Graph) adjacentClosenessLocked(i, j NodeID, p ClosenessParams) float64 {
-	strength := g.relationshipStrengthLocked(i, j, p.Weighted, p.Lambda)
-	if strength == 0 {
-		return 0
-	}
-	total := g.TotalInteractionsFrom(i)
-	if total == 0 {
-		// No interactions recorded yet: assume uniform frequency over the
-		// friend set so closeness reduces to strength/|S_i|.
-		deg := len(g.adj[i])
-		if deg == 0 {
-			return 0
-		}
-		return strength / float64(deg)
-	}
-	return strength * g.InteractionFrequency(i, j) / total
+	var out [1]float64
+	s := g.getScratch()
+	g.closenessInto(s, i, []NodeID{j}, p, out[:])
+	g.scratch.Put(s)
+	return out[0]
 }
 
 // ClosenessFrom computes Ωc(i, j) for every ratee j in one batched pass.
-// The results are element-wise bit-identical to calling Closeness(i, j, p)
-// per pair on a quiescent graph, but all of rater i's pairs share one BFS
-// tree, one common-friend index, and memoized adjacent closenesses and
-// interaction totals, so the cost is O(V+E) once plus O(deg) per ratee
-// instead of a fresh BFS per pair.
+// All of rater i's pairs share one bounded BFS, one memo of adjacent
+// closenesses from i and one of interaction totals, so the cost is one BFS
+// (stopped once every ratee that needs the path case has been reached) plus
+// O(deg) per ratee. The batch's working set comes from a per-graph pool, so
+// the only allocation is the result slice.
 func (g *Graph) ClosenessFrom(i NodeID, ratees []NodeID, p ClosenessParams) []float64 {
 	g.validate(i)
 	g.validate(ratees...)
 	out := make([]float64, len(ratees))
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	b := newClosenessBatch(g, i, p)
-	for idx, j := range ratees {
-		out[idx] = b.closeness(j)
-	}
+	s := g.getScratch()
+	g.closenessInto(s, i, ratees, p, out)
+	g.scratch.Put(s)
 	return out
 }
 
-// closenessBatch is the shared state of one ClosenessFrom/ProfileCloseness
-// pass: every quantity that depends only on the source node i is computed
-// once and memoized across ratees. Callers hold the topology read lock for
-// the batch's whole lifetime.
+// closenessInto writes Ωc(i, ratees[k]) to out[k]. Ratees in the adjacent
+// and common-friend cases are evaluated directly; the rest are marked as
+// BFS targets and evaluated on the tree path once one BFS has reached them
+// all (or exhausted the hop cutoff). s is a freshly drawn scratch.
+func (g *Graph) closenessInto(s *bfsScratch, i NodeID, ratees []NodeID, p ClosenessParams, out []float64) {
+	g.mu.RLock()
+	b := closenessBatch{g: g, s: s, i: i, p: p}
+	pending := 0
+	for k, j := range ratees {
+		v, needPath := b.direct(j)
+		out[k] = v
+		if needPath && s.target[j] != s.stamp {
+			s.target[j] = s.stamp
+			pending++
+		}
+	}
+	if pending > 0 {
+		g.bfs(s, i, p.maxHops(), pending)
+		for k, j := range ratees {
+			if s.target[j] == s.stamp {
+				out[k] = b.pathMin(j)
+			}
+		}
+	}
+	g.mu.RUnlock()
+}
+
+// bfsScratch is the pooled working set of one closeness batch or path
+// query. Every per-node array is valid only where its stamp array holds the
+// current batch's stamp, so starting a batch is one increment instead of
+// an O(N) clear or allocation.
+type bfsScratch struct {
+	stamp uint32
+
+	seen   []uint32 // seen[v] == stamp: v discovered by the BFS
+	parent []NodeID // BFS tree parent of each seen node (parent[src] == src)
+	target []uint32 // target[v] == stamp: the batch needs a path to v
+
+	fromIAt []uint32  // fromIAt[k] == stamp: fromI[k] holds Ωc(i,k)
+	fromI   []float64 // memoized adjacent closeness from the batch source
+	totalAt []uint32  // totalAt[u] == stamp: total[u] holds Σ_k f(u,k)
+	total   []float64 // memoized interaction totals
+
+	cur, next []NodeID  // BFS frontiers, swapped per level
+	common    []NodeID  // common friends of the source and one ratee
+	vals      []float64 // ProfileCloseness per-peer values
+}
+
+func newBFSScratch(n int) *bfsScratch {
+	return &bfsScratch{
+		seen:    make([]uint32, n),
+		parent:  make([]NodeID, n),
+		target:  make([]uint32, n),
+		fromIAt: make([]uint32, n),
+		fromI:   make([]float64, n),
+		totalAt: make([]uint32, n),
+		total:   make([]float64, n),
+	}
+}
+
+// getScratch draws a pooled scratch and opens a new stamp on it. Callers
+// return it with g.scratch.Put.
+func (g *Graph) getScratch() *bfsScratch {
+	s := g.scratch.Get().(*bfsScratch)
+	s.open()
+	return s
+}
+
+// open starts a new stamp, invalidating every per-node entry at once.
+func (s *bfsScratch) open() {
+	s.stamp++
+	if s.stamp == 0 { // wrapped: stale stamps could collide, so clear them
+		clear(s.seen)
+		clear(s.target)
+		clear(s.fromIAt)
+		clear(s.totalAt)
+		s.stamp = 1
+	}
+}
+
+// bfs runs a breadth-first search from src over at most maxHops levels,
+// expanding each frontier node's neighbors in ascending ID order, and stops
+// as soon as all pending targets (marked in s.target) are discovered.
+// Discovery order alone fixes each node's parent, and stopping early never
+// revisits a discovered node, so every parent it sets is the one a full
+// bounded BFS would set. Callers hold the read lock.
+func (g *Graph) bfs(s *bfsScratch, src NodeID, maxHops, pending int) {
+	st := s.stamp
+	s.seen[src] = st
+	s.parent[src] = src
+	cur, next := append(s.cur[:0], src), s.next[:0]
+	visited, early := 1, false
+	for depth := 0; len(cur) > 0 && depth < maxHops && !early; depth++ {
+		last := depth+1 == maxHops // the next frontier would never expand
+		next = next[:0]
+	level:
+		for _, u := range cur {
+			for _, e := range g.adj[u] {
+				v := e.id
+				if s.seen[v] == st {
+					continue
+				}
+				s.seen[v] = st
+				s.parent[v] = u
+				visited++
+				if s.target[v] == st {
+					if pending--; pending == 0 {
+						early = true
+						break level
+					}
+				}
+				if !last {
+					next = append(next, v)
+				}
+			}
+		}
+		cur, next = next, cur
+	}
+	s.cur, s.next = cur[:0], next[:0]
+	mBFSRuns.Inc()
+	mBFSVisited.Add(int64(visited))
+	if early {
+		mBFSEarlyExits.Inc()
+	}
+}
+
+// closenessBatch evaluates Equation 4 for one source node against a pooled
+// scratch; callers hold the topology read lock for its whole lifetime.
 type closenessBatch struct {
 	g *Graph
+	s *bfsScratch
 	i NodeID
 	p ClosenessParams
-
-	fromI  map[NodeID]float64 // memoized adjacent closeness Ωc(i,k) for friends k
-	totals map[NodeID]float64 // memoized TotalInteractionsFrom per source node
-
-	bfsDone  bool
-	parent   []NodeID // BFS tree from i (parent[i] == i, unvisited == -1)
-	cfBuf    []NodeID // common-friend scratch
-	frontier []NodeID // BFS scratch
 }
 
-func newClosenessBatch(g *Graph, i NodeID, p ClosenessParams) *closenessBatch {
-	return &closenessBatch{
-		g:      g,
-		i:      i,
-		p:      p,
-		fromI:  make(map[NodeID]float64),
-		totals: make(map[NodeID]float64),
-	}
-}
-
-// closeness mirrors Graph.closenessLocked case by case; each branch
-// evaluates the exact expressions of the per-pair path in the same order so
-// the float results are bit-identical.
-func (b *closenessBatch) closeness(j NodeID) float64 {
+// direct evaluates Ωc(i, j) when j is i, a friend of i, or shares a friend
+// with i. Otherwise it reports needPath: the value is the minimum along
+// the BFS tree path to j.
+func (b *closenessBatch) direct(j NodeID) (v float64, needPath bool) {
 	g, i := b.g, b.i
 	if i == j {
-		return 0
+		return 0, false
 	}
 	if g.adjacentLocked(i, j) {
-		return b.adjFromI(j)
+		return b.adjFromI(j), false
 	}
-	b.cfBuf = g.commonFriendsLocked(i, j, b.cfBuf[:0])
-	if len(b.cfBuf) > 0 {
-		sum := 0.0
-		for _, k := range b.cfBuf {
-			sum += (b.adjFromI(k) + b.adjClose(k, j)) / 2
-		}
-		return sum
+	s := b.s
+	s.common = g.commonFriendsLocked(i, j, s.common[:0])
+	if len(s.common) == 0 {
+		return 0, true
 	}
-	if !b.bfsDone {
-		b.buildBFS()
+	sum := 0.0
+	for _, k := range s.common { // ascending ID order
+		sum += (b.adjFromI(k) + b.adjClose(k, j)) / 2
 	}
-	if b.parent[j] < 0 {
+	return sum, false
+}
+
+// pathMin is the path case of Equation 4: the minimum adjacent closeness
+// along the BFS tree path from i to j, or 0 when j lies beyond the hop
+// cutoff.
+func (b *closenessBatch) pathMin(j NodeID) float64 {
+	s := b.s
+	if s.seen[j] != s.stamp {
 		return 0
 	}
-	// Walk the unique tree path j → i. The per-pair BFS assigns identical
-	// parents (same ID-order expansion), so this is the same path and the
-	// same minimum.
 	min := -1.0
-	for cur := j; cur != i; {
-		par := b.parent[cur]
+	for cur := j; cur != b.i; {
+		par := s.parent[cur]
 		c := b.adjClose(par, cur)
 		if min < 0 || c < min {
 			min = c
@@ -198,28 +275,31 @@ func (b *closenessBatch) closeness(j NodeID) float64 {
 
 // adjFromI memoizes the adjacent closeness from the batch source i.
 func (b *closenessBatch) adjFromI(k NodeID) float64 {
-	if v, ok := b.fromI[k]; ok {
-		return v
+	s := b.s
+	if s.fromIAt[k] == s.stamp {
+		return s.fromI[k]
 	}
 	v := b.adjClose(b.i, k)
-	b.fromI[k] = v
+	s.fromIAt[k], s.fromI[k] = s.stamp, v
 	return v
 }
 
-// adjClose is adjacentClosenessLocked with the per-source interaction total
-// memoized for the batch.
+// adjClose evaluates the adjacent case of Equation 2 / Equation 10 with the
+// per-source interaction total memoized for the batch. Interaction reads go
+// through the striped row locks, not g.mu.
 func (b *closenessBatch) adjClose(u, v NodeID) float64 {
-	g, p := b.g, b.p
+	g, p, s := b.g, b.p, b.s
 	strength := g.relationshipStrengthLocked(u, v, p.Weighted, p.Lambda)
 	if strength == 0 {
 		return 0
 	}
-	total, ok := b.totals[u]
-	if !ok {
-		total = g.TotalInteractionsFrom(u)
-		b.totals[u] = total
+	if s.totalAt[u] != s.stamp {
+		s.totalAt[u], s.total[u] = s.stamp, g.TotalInteractionsFrom(u)
 	}
+	total := s.total[u]
 	if total == 0 {
+		// No interactions recorded yet: assume uniform frequency over the
+		// friend set so closeness reduces to strength/|S_u|.
 		deg := len(g.adj[u])
 		if deg == 0 {
 			return 0
@@ -227,37 +307,6 @@ func (b *closenessBatch) adjClose(u, v NodeID) float64 {
 		return strength / float64(deg)
 	}
 	return strength * g.InteractionFrequency(u, v) / total
-}
-
-// buildBFS runs one full breadth-first pass from i, bounded by the hop
-// cutoff, expanding neighbors in ID order — the same discovery order as the
-// per-pair shortestPathLocked, so every reachable node gets the same parent.
-func (b *closenessBatch) buildBFS() {
-	g := b.g
-	parent := make([]NodeID, g.n)
-	for x := range parent {
-		parent[x] = -1
-	}
-	parent[b.i] = b.i
-	frontier := append(b.frontier[:0], b.i)
-	maxHops := b.p.maxHops()
-	var scratch []NodeID
-	for depth := 0; len(frontier) > 0 && depth < maxHops; depth++ {
-		var next []NodeID
-		for _, u := range frontier {
-			scratch = g.friendsLocked(u, scratch[:0])
-			for _, v := range scratch {
-				if parent[v] >= 0 {
-					continue
-				}
-				parent[v] = u
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	b.parent = parent
-	b.bfsDone = true
 }
 
 // ClosenessProfile summarizes node i's closeness to a set of peers it has
@@ -269,17 +318,17 @@ type ClosenessProfile struct {
 }
 
 // ProfileCloseness computes the ClosenessProfile of node i over peers.
-// An empty peer set yields a zero profile. It runs on the batched
-// closeness path, sharing one BFS and memo table across the peer set.
+// An empty peer set yields a zero profile. It runs one closeness batch over
+// the peer set and folds the values in peer order.
 func (g *Graph) ProfileCloseness(i NodeID, peers []NodeID, p ClosenessParams) ClosenessProfile {
 	g.validate(i)
 	g.validate(peers...)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	b := newClosenessBatch(g, i, p)
+	s := g.getScratch()
+	defer g.scratch.Put(s)
+	s.vals = slices.Grow(s.vals[:0], len(peers))[:len(peers)]
+	g.closenessInto(s, i, peers, p, s.vals)
 	var prof ClosenessProfile
-	for idx, j := range peers {
-		c := b.closeness(j)
+	for idx, c := range s.vals {
 		if idx == 0 {
 			prof.Min, prof.Max = c, c
 		} else {

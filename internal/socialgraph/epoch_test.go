@@ -1,7 +1,6 @@
 package socialgraph
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -58,60 +57,6 @@ func TestEpochBumpedByEveryMutator(t *testing.T) {
 	}
 }
 
-// TestClosenessFromMatchesPerPair asserts the batched single-source path is
-// bit-identical to per-pair Closeness on a quiescent graph, across all three
-// branch kinds (adjacent, common-friend, shortest-path) and both the plain
-// and weighted (Equation 10) forms.
-func TestClosenessFromMatchesPerPair(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		g := randomGraph(200, 3)
-		p := DefaultClosenessParams()
-		p.Weighted = weighted
-		for i := 0; i < 200; i += 7 {
-			ratees := make([]NodeID, 0, 64)
-			for j := 0; j < 200; j += 3 {
-				ratees = append(ratees, NodeID(j))
-			}
-			got := g.ClosenessFrom(NodeID(i), ratees, p)
-			for idx, j := range ratees {
-				want := g.Closeness(NodeID(i), j, p)
-				if got[idx] != want { // bit-identical, no tolerance
-					t.Fatalf("weighted=%v ClosenessFrom(%d)[%d→%d] = %v, per-pair Closeness = %v (diff %g)",
-						weighted, i, i, j, got[idx], want, math.Abs(got[idx]-want))
-				}
-			}
-		}
-	}
-}
-
-// TestProfileClosenessMatchesPerPair pins that the batched ProfileCloseness
-// still folds exactly the per-pair closeness values.
-func TestProfileClosenessMatchesPerPair(t *testing.T) {
-	g := randomGraph(120, 4)
-	p := DefaultClosenessParams()
-	peers := []NodeID{3, 17, 44, 90, 119, 60}
-	prof := g.ProfileCloseness(5, peers, p)
-	var mean, min, max float64
-	for idx, j := range peers {
-		c := g.Closeness(5, j, p)
-		if idx == 0 {
-			min, max = c, c
-		} else {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		mean += c
-	}
-	mean /= float64(len(peers))
-	if prof.Mean != mean || prof.Min != min || prof.Max != max || prof.N != len(peers) {
-		t.Fatalf("ProfileCloseness = %+v, want mean=%v min=%v max=%v n=%d", prof, mean, min, max, len(peers))
-	}
-}
-
 // randomGraph builds a connected pseudo-random graph with interactions,
 // sparse enough that all three closeness branches are exercised.
 func randomGraph(n, extraDeg int) *Graph {
@@ -158,6 +103,8 @@ func TestConcurrentClosenessAndMutation(t *testing.T) {
 				j := NodeID(rng.Intn(n))
 				_ = g.Closeness(i, j, p)
 				_ = g.ClosenessFrom(i, []NodeID{j, NodeID((int(j) + 1) % n)}, p)
+				_ = g.ProfileCloseness(j, []NodeID{i, NodeID((int(i) + 2) % n)}, p)
+				_ = g.ShortestPath(i, j, 0)
 				_ = g.Epoch()
 			}
 		}(uint64(w + 1))

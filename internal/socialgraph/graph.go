@@ -8,7 +8,7 @@ package socialgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,15 +81,21 @@ func (r Relationship) weight() float64 {
 	return r.Kind.DefaultWeight()
 }
 
-// edge stores the relationship list for one adjacent pair.
+// edge is one half of an undirected friendship: the neighbor and the
+// relationship list of the pair. Each endpoint holds its own half with an
+// identical relationship list.
 type edge struct {
+	id   NodeID
 	rels []Relationship
 }
 
 // Graph is an undirected social multigraph plus a directed interaction
-// table. Topology is guarded by an RWMutex so concurrent closeness/BFS
-// queries proceed in parallel and only topology mutation
-// (AddRelationship/RemoveNodeEdges) takes the exclusive lock. Interaction
+// table. Each node's adjacency is a slice of edges sorted by neighbor ID, so
+// lookups are binary searches, neighbor lists come out in ID order without
+// sorting, and common friends are a merge of two sorted lists. Topology is
+// guarded by an RWMutex so concurrent closeness/BFS queries proceed in
+// parallel and only topology mutation (AddRelationship/RemoveNodeEdges)
+// takes the exclusive lock. Interaction
 // recording uses per-source striped locks, because the simulator records
 // interactions from many client goroutines while queries run.
 //
@@ -109,7 +115,9 @@ type Graph struct {
 	epoch atomic.Uint64
 
 	n   int
-	adj []map[NodeID]*edge
+	adj [][]edge // adj[i] sorted by edge.id
+
+	scratch sync.Pool // *bfsScratch for closeness batches and path queries
 
 	interactions []interactionRow
 
@@ -147,9 +155,10 @@ func New(n int) *Graph {
 	}
 	g := &Graph{
 		n:            n,
-		adj:          make([]map[NodeID]*edge, n),
+		adj:          make([][]edge, n),
 		interactions: make([]interactionRow, n),
 	}
+	g.scratch.New = func() any { return newBFSScratch(n) }
 	return g
 }
 
@@ -253,8 +262,8 @@ func (g *Graph) WithinHops(sources []NodeID, hops int, seen []bool, out []NodeID
 			break
 		}
 		for idx := frontierStart; idx < frontierEnd; idx++ {
-			for v := range g.adj[out[idx]] {
-				if !seen[v] {
+			for _, e := range g.adj[out[idx]] {
+				if v := e.id; !seen[v] {
 					seen[v] = true
 					out = append(out, v)
 				}
@@ -295,15 +304,38 @@ func (g *Graph) AddRelationship(i, j NodeID, r Relationship) {
 }
 
 func (g *Graph) addHalf(i, j NodeID, r Relationship) {
-	if g.adj[i] == nil {
-		g.adj[i] = make(map[NodeID]*edge)
+	k, ok := g.find(i, j)
+	if ok {
+		g.adj[i][k].rels = append(g.adj[i][k].rels, r)
+		return
 	}
-	e := g.adj[i][j]
-	if e == nil {
-		e = &edge{}
-		g.adj[i][j] = e
+	g.adj[i] = slices.Insert(g.adj[i], k, edge{id: j, rels: []Relationship{r}})
+}
+
+// find binary-searches i's adjacency for neighbor j. It returns j's index
+// when present, or the index at which j would be inserted; callers hold at
+// least the read lock.
+func (g *Graph) find(i, j NodeID) (int, bool) {
+	es := g.adj[i]
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].id < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	e.rels = append(e.rels, r)
+	return lo, lo < len(es) && es[lo].id == j
+}
+
+// edgeLocked returns the relationship list between i and j, or nil when
+// they are not adjacent; callers hold at least the read lock.
+func (g *Graph) edgeLocked(i, j NodeID) []Relationship {
+	if k, ok := g.find(i, j); ok {
+		return g.adj[i][k].rels
+	}
+	return nil
 }
 
 // Adjacent reports whether i and j share a friendship edge.
@@ -315,7 +347,7 @@ func (g *Graph) Adjacent(i, j NodeID) bool {
 }
 
 func (g *Graph) adjacentLocked(i, j NodeID) bool {
-	_, ok := g.adj[i][j]
+	_, ok := g.find(i, j)
 	return ok
 }
 
@@ -325,10 +357,7 @@ func (g *Graph) RelationshipCount(i, j NodeID) int {
 	g.validate(i, j)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if e, ok := g.adj[i][j]; ok {
-		return len(e.rels)
-	}
-	return 0
+	return len(g.edgeLocked(i, j))
 }
 
 // Relationships returns a copy of the relationship list between i and j.
@@ -336,11 +365,11 @@ func (g *Graph) Relationships(i, j NodeID) []Relationship {
 	g.validate(i, j)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	e, ok := g.adj[i][j]
-	if !ok {
+	rels := g.edgeLocked(i, j)
+	if rels == nil {
 		return nil
 	}
-	return append([]Relationship(nil), e.rels...)
+	return append([]Relationship(nil), rels...)
 }
 
 // relationshipStrengthLocked evaluates the relationship term of the
@@ -351,21 +380,24 @@ func (g *Graph) Relationships(i, j NodeID) []Relationship {
 // on extra weak relationships — the falsification counterattack of
 // Section 4.4.
 func (g *Graph) relationshipStrengthLocked(i, j NodeID, weighted bool, lambda float64) float64 {
-	e, ok := g.adj[i][j]
-	if !ok {
-		return 0
-	}
+	rels := g.edgeLocked(i, j)
 	if !weighted {
-		return float64(len(e.rels))
+		return float64(len(rels))
 	}
-	ws := make([]float64, len(e.rels))
-	for k, r := range e.rels {
-		ws[k] = r.weight()
+	// A pair carries a handful of relationships; sort their weights on the
+	// stack unless the list is unusually long.
+	var buf [8]float64
+	ws := buf[:0]
+	if len(rels) > len(buf) {
+		ws = make([]float64, 0, len(rels))
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ws)))
+	for _, r := range rels {
+		ws = append(ws, r.weight())
+	}
+	slices.Sort(ws)
 	sum, scale := 0.0, 1.0
-	for _, w := range ws {
-		sum += scale * w
+	for k := len(ws) - 1; k >= 0; k-- { // descending weight
+		sum += scale * ws[k]
 		scale *= lambda
 	}
 	return sum
@@ -382,12 +414,9 @@ func (g *Graph) Friends(i NodeID) []NodeID {
 // friendsLocked appends i's neighbors in ascending order to buf (which may
 // be nil) and returns the extended slice; callers hold the read lock.
 func (g *Graph) friendsLocked(i NodeID, buf []NodeID) []NodeID {
-	start := len(buf)
-	for j := range g.adj[i] {
-		buf = append(buf, j)
+	for _, e := range g.adj[i] {
+		buf = append(buf, e.id)
 	}
-	out := buf[start:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return buf
 }
 
@@ -410,18 +439,18 @@ func (g *Graph) CommonFriends(i, j NodeID) []NodeID {
 // commonFriendsLocked appends S_i ∩ S_j in ascending order to buf; callers
 // hold the read lock.
 func (g *Graph) commonFriendsLocked(i, j NodeID, buf []NodeID) []NodeID {
-	small, large := g.adj[i], g.adj[j]
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	start := len(buf)
-	for k := range small {
-		if _, ok := large[k]; ok {
-			buf = append(buf, k)
+	a, b := g.adj[i], g.adj[j]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].id < b[0].id:
+			a = a[1:]
+		case a[0].id > b[0].id:
+			b = b[1:]
+		default:
+			buf = append(buf, a[0].id)
+			a, b = a[1:], b[1:]
 		}
 	}
-	out := buf[start:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return buf
 }
 
@@ -432,65 +461,55 @@ const NoPath = -1
 // and j via breadth-first search, or NoPath if none exists within maxHops
 // (maxHops <= 0 means unbounded). Distance(i,i) is 0.
 func (g *Graph) Distance(i, j NodeID, maxHops int) int {
-	path := g.ShortestPath(i, j, maxHops)
-	if path == nil {
-		return NoPath
-	}
-	return len(path) - 1
+	g.validate(i, j)
+	hops, _ := g.shortestPath(i, j, maxHops, false)
+	return hops
 }
 
 // ShortestPath returns one shortest friendship path from i to j inclusive of
 // both endpoints, or nil if none exists within maxHops (<= 0 for unbounded).
+// Neighbors are expanded in ID order, so the path is deterministic: it is
+// the same tree path the closeness batch walks for Equation 4.
 func (g *Graph) ShortestPath(i, j NodeID, maxHops int) []NodeID {
 	g.validate(i, j)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.shortestPathLocked(i, j, maxHops)
+	_, path := g.shortestPath(i, j, maxHops, true)
+	return path
 }
 
-func (g *Graph) shortestPathLocked(i, j NodeID, maxHops int) []NodeID {
+// shortestPath runs a pooled BFS from i that stops once j is discovered and
+// returns the hop count (NoPath when j is out of reach) and, with build set,
+// the path itself.
+func (g *Graph) shortestPath(i, j NodeID, maxHops int, build bool) (int, []NodeID) {
 	if i == j {
-		return []NodeID{i}
-	}
-	prev := make(map[NodeID]NodeID, 64)
-	prev[i] = i
-	frontier := []NodeID{i}
-	depth := 0
-	var scratch []NodeID
-	for len(frontier) > 0 {
-		if maxHops > 0 && depth >= maxHops {
-			return nil
+		if build {
+			return 0, []NodeID{i}
 		}
-		depth++
-		var next []NodeID
-		for _, u := range frontier {
-			// Expand neighbors in ID order so the returned path (and any
-			// closeness derived from it) is deterministic rather than
-			// map-iteration dependent.
-			scratch = g.friendsLocked(u, scratch[:0])
-			for _, v := range scratch {
-				if _, seen := prev[v]; seen {
-					continue
-				}
-				prev[v] = u
-				if v == j {
-					// Reconstruct the path back to i.
-					path := []NodeID{j}
-					for cur := j; cur != i; {
-						cur = prev[cur]
-						path = append(path, cur)
-					}
-					for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
-						path[a], path[b] = path[b], path[a]
-					}
-					return path
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
+		return 0, nil
 	}
-	return nil
+	if maxHops <= 0 {
+		maxHops = g.n // a shortest path has fewer than n hops
+	}
+	s := g.getScratch()
+	defer g.scratch.Put(s)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	s.target[j] = s.stamp
+	g.bfs(s, i, maxHops, 1)
+	if s.seen[j] != s.stamp {
+		return NoPath, nil
+	}
+	hops := 0
+	for cur := j; cur != i; cur = s.parent[cur] {
+		hops++
+	}
+	if !build {
+		return hops, nil
+	}
+	path := make([]NodeID, hops+1)
+	for cur, k := j, hops; k >= 0; cur, k = s.parent[cur], k-1 {
+		path[k] = cur
+	}
+	return hops, path
 }
 
 // RecordInteraction adds weight w to the directed interaction frequency
@@ -545,8 +564,11 @@ func (g *Graph) RemoveNodeEdges(i NodeID) {
 	// closeness depended on one of them.
 	touched := make([]NodeID, 0, len(g.adj[i])+1)
 	touched = append(touched, i)
-	for j := range g.adj[i] {
-		delete(g.adj[j], i)
+	for _, e := range g.adj[i] {
+		j := e.id
+		if k, ok := g.find(j, i); ok {
+			g.adj[j] = slices.Delete(g.adj[j], k, k+1)
+		}
 		touched = append(touched, j)
 	}
 	g.adj[i] = nil
@@ -579,20 +601,15 @@ type State struct {
 func (g *Graph) ExportState() State {
 	st := State{NumNodes: g.n, Interactions: make([]map[NodeID]float64, g.n)}
 	g.mu.RLock()
-	for i := range g.adj {
-		for j, e := range g.adj[i] {
-			if NodeID(i) < j {
-				st.Edges = append(st.Edges, EdgeState{I: NodeID(i), J: j, Rels: append([]Relationship(nil), e.rels...)})
+	// Walking each sorted adjacency in node order emits edges by (I, J).
+	for i, es := range g.adj {
+		for _, e := range es {
+			if NodeID(i) < e.id {
+				st.Edges = append(st.Edges, EdgeState{I: NodeID(i), J: e.id, Rels: append([]Relationship(nil), e.rels...)})
 			}
 		}
 	}
 	g.mu.RUnlock()
-	sort.Slice(st.Edges, func(a, b int) bool {
-		if st.Edges[a].I != st.Edges[b].I {
-			return st.Edges[a].I < st.Edges[b].I
-		}
-		return st.Edges[a].J < st.Edges[b].J
-	})
 	for i := range g.interactions {
 		row := &g.interactions[i]
 		row.mu.Lock()
@@ -611,19 +628,56 @@ func (g *Graph) ExportState() State {
 // ImportState replaces the graph's topology and interaction table with a
 // previously exported state and signals full invalidation to derived-state
 // consumers. Every relationship list and interaction count afterwards is
-// bit-identical to the exporting instance.
-func (g *Graph) ImportState(st State) {
-	if st.NumNodes != g.n {
-		panic(fmt.Sprintf("socialgraph: state for %d nodes imported into %d-node graph", st.NumNodes, g.n))
+// bit-identical to the exporting instance. A state that ExportState could
+// not have produced — another node count, an out-of-range, self, unsorted
+// or duplicate edge, or an edge without relationships — is rejected with an
+// error and the graph is left unchanged.
+func (g *Graph) ImportState(st State) error {
+	if st.NumNodes != g.n || len(st.Interactions) != g.n {
+		return fmt.Errorf("socialgraph: state for %d nodes (%d interaction rows) imported into %d-node graph",
+			st.NumNodes, len(st.Interactions), g.n)
+	}
+	deg := make([]int, g.n)
+	for k, es := range st.Edges {
+		switch {
+		case es.I < 0 || es.J < 0 || int(es.I) >= g.n || int(es.J) >= g.n:
+			return fmt.Errorf("socialgraph: state edge %d (%d,%d) out of range [0,%d)", k, es.I, es.J, g.n)
+		case es.I >= es.J:
+			return fmt.Errorf("socialgraph: state edge %d (%d,%d) is a self edge or not ordered I < J", k, es.I, es.J)
+		case len(es.Rels) == 0:
+			return fmt.Errorf("socialgraph: state edge %d (%d,%d) has no relationships", k, es.I, es.J)
+		}
+		if k > 0 {
+			prev := st.Edges[k-1]
+			if es.I < prev.I || (es.I == prev.I && es.J <= prev.J) {
+				return fmt.Errorf("socialgraph: state edge %d (%d,%d) is duplicate or out of (I,J) order after (%d,%d)",
+					k, es.I, es.J, prev.I, prev.J)
+			}
+		}
+		deg[es.I]++
+		deg[es.J]++
+	}
+	// Edges arrive sorted by (I, J): every node's lower neighbors (edges
+	// (I, x)) precede its higher ones (edges (x, J)), each run ascending, so
+	// appending both halves in input order yields sorted adjacency in one
+	// pass. One backing array holds every half-edge; each node's slice is
+	// capped so a later insert reallocates only that node's list. The two
+	// halves share one relationship list: AddRelationship appends the same
+	// relationship to both, so they never diverge.
+	backing := make([]edge, 2*len(st.Edges))
+	adj := make([][]edge, g.n)
+	off := 0
+	for i, d := range deg {
+		adj[i] = backing[off : off : off+d]
+		off += d
+	}
+	for _, es := range st.Edges {
+		rels := slices.Clip(append([]Relationship(nil), es.Rels...))
+		adj[es.I] = append(adj[es.I], edge{id: es.J, rels: rels})
+		adj[es.J] = append(adj[es.J], edge{id: es.I, rels: rels})
 	}
 	g.mu.Lock()
-	g.adj = make([]map[NodeID]*edge, g.n)
-	for _, es := range st.Edges {
-		for _, r := range es.Rels {
-			g.addHalf(es.I, es.J, r)
-			g.addHalf(es.J, es.I, r)
-		}
-	}
+	g.adj = adj
 	g.mu.Unlock()
 	for i := range g.interactions {
 		row := &g.interactions[i]
@@ -638,6 +692,7 @@ func (g *Graph) ImportState(st State) {
 		row.mu.Unlock()
 	}
 	g.bumpAll()
+	return nil
 }
 
 // ResetInteractions clears the interaction table, used between trace epochs.

@@ -121,6 +121,9 @@ func TestMetricsExpositionHygiene(t *testing.T) {
 		"cluster_inflight_batches", "cluster_reconnects_total",
 		"cluster_worker_respawns_total", "cluster_encode_seconds",
 		"cluster_decode_seconds",
+		// The closeness kernel's counters register at init as well.
+		"socialgraph_bfs_runs_total", "socialgraph_bfs_nodes_visited_total",
+		"socialgraph_bfs_early_exits_total",
 	} {
 		if !families[want] {
 			t.Errorf("fully instrumented snapshot missing family %s", want)
