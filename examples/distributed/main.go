@@ -1,9 +1,8 @@
 // Distributed: SocialTrust deployed behind the paper's resource-manager
 // overlay (Section 4.3). Ratings flow concurrently from many client
-// goroutines to sharded manager mailboxes; at the end of each update
-// interval the managers' shards are merged, the SocialTrust-wrapped engine
-// computes the global reputations, and the fresh vector is broadcast back so
-// every manager answers queries locally.
+// goroutines to sharded managers; at the end of each update interval the
+// managers' shards are merged, the SocialTrust-wrapped engine computes the
+// global reputations, and the fresh vector is published for every query.
 //
 //	go run ./examples/distributed
 package main

@@ -6,13 +6,13 @@
 //
 // Connection failures trigger bounded-backoff reconnection with a full state
 // resync: the client re-sends the Hello handshake, issues a Restart per
-// hosted shard carrying the last broadcast vector and the shard's drain
-// floor (so a freshly respawned worker replays its own WAL tail, with
-// replayed sequences marked recovered for duplicate-ack dedupe), and then
+// hosted shard carrying the shard's drain floors (so a freshly respawned
+// worker replays its own WAL tail, with replayed sequences marked recovered
+// for duplicate-ack dedupe), and then
 // replays every still-outstanding request in its original order. Requests
 // issued while the connection is down queue and ride the resync. Only after
 // the reconnect budget lapses do calls fail — surfacing to the overlay as
-// ErrShardDown, exactly like a crashed in-process shard.
+// ErrShardDown, exactly like a crashed shard.
 package cluster
 
 import (
@@ -109,9 +109,8 @@ type Client struct {
 	closed     atomic.Bool
 
 	mu            sync.Mutex
-	lastReps      []float64 // most recent broadcast vector (resync Restart payload)
-	floors        []uint64  // per-shard drained high-water marks (resync replay floors)
-	replicaFloors []uint64  // per-shard replica-drain marks (fated-record replay floors)
+	floors        []uint64 // per-shard drained high-water marks (resync replay floors)
+	replicaFloors []uint64 // per-shard replica-drain marks (fated-record replay floors)
 }
 
 // NewClient builds a transport routing numShards shards across the workers at
@@ -132,12 +131,9 @@ func NewClient(addrs []string, numShards int) *Client {
 
 // Start dials every worker and runs the Hello handshake. Part of
 // manager.Transport; called once from NewWithOptions.
-func (cl *Client) Start(numNodes int, replicated bool, reps []float64) error {
+func (cl *Client) Start(numNodes int, replicated bool) error {
 	cl.numNodes = numNodes
 	cl.replicated = replicated
-	cl.mu.Lock()
-	cl.lastReps = append([]float64(nil), reps...)
-	cl.mu.Unlock()
 	for _, c := range cl.conns {
 		nc, err := dialRetry(c.addr, dialRetryBudget)
 		if err != nil {
@@ -277,8 +273,8 @@ func (c *conn) reconnect() {
 
 // resyncLocked runs the connection handshake on a fresh socket and installs
 // it. With restarts set (a reconnect, not the initial dial) it first issues a
-// Restart per hosted shard — last broadcast vector, drain floor, replayed
-// WAL sequences marked recovered — and then replays every outstanding call in
+// Restart per hosted shard — drain floors, replayed WAL sequences marked
+// recovered — and then replays every outstanding call in
 // its original send order; the worker's WAL-replay dedupe makes the
 // redelivery exactly-once. Callers hold c.mu.
 func (c *conn) resyncLocked(nc net.Conn, restarts bool) error {
@@ -317,7 +313,6 @@ func (c *conn) resyncLocked(nc net.Conn, restarts bool) error {
 	}
 
 	c.cl.mu.Lock()
-	reps := append([]float64(nil), c.cl.lastReps...)
 	floors := append([]uint64(nil), c.cl.floors...)
 	replicaFloors := append([]uint64(nil), c.cl.replicaFloors...)
 	c.cl.mu.Unlock()
@@ -327,14 +322,13 @@ func (c *conn) resyncLocked(nc net.Conn, restarts bool) error {
 		numNodes:   c.cl.numNodes,
 		replicated: c.cl.replicated,
 		shards:     c.shards,
-		reps:       reps,
 	}
 	if err := rt(opHello, 0, func(b []byte) []byte { return appendHello(b, hello) }); err != nil {
 		return err
 	}
 	if restarts {
 		for _, s := range c.shards {
-			ri := restartInfo{floor: floors[s], replicaFloor: replicaFloors[s], markRecovered: true, reps: reps}
+			ri := restartInfo{floor: floors[s], replicaFloor: replicaFloors[s], markRecovered: true}
 			if err := rt(opRestart, s, func(b []byte) []byte { return appendRestart(b, ri) }); err != nil {
 				return err
 			}
@@ -519,12 +513,7 @@ func (p *shardPort) Drain(timeout time.Duration) (manager.DrainSnapshots, error)
 	if err := parseReplyStatus(w); err != nil {
 		return manager.DrainSnapshots{}, err
 	}
-	var ds manager.DrainSnapshots
-	ds.Primary = w.snapshot()
-	ds.HasReplica = w.bool()
-	if ds.HasReplica {
-		ds.Replica = w.snapshot()
-	}
+	ds := w.drain()
 	if err := w.done(); err != nil {
 		return manager.DrainSnapshots{}, err
 	}
@@ -545,17 +534,6 @@ func (p *shardPort) Drain(timeout time.Duration) (manager.DrainSnapshots, error)
 	return ds, nil
 }
 
-func (p *shardPort) UpdateReps(reps []float64, timeout time.Duration) error {
-	p.cl.mu.Lock()
-	p.cl.lastReps = append(p.cl.lastReps[:0], reps...)
-	p.cl.mu.Unlock()
-	ca, err := p.c.roundTrip(opUpdateReps, p.shard, func(b []byte) []byte { return appendFloats(b, reps) })
-	if err != nil {
-		return err
-	}
-	return statusWait(ca, timeout)
-}
-
 func (p *shardPort) Crash() error {
 	ca, err := p.c.roundTrip(opCrash, p.shard, func(b []byte) []byte { return b })
 	if err != nil {
@@ -564,7 +542,7 @@ func (p *shardPort) Crash() error {
 	return statusWait(ca, 0)
 }
 
-func (p *shardPort) Restart(reps []float64, floor, replicaFloor uint64, markRecovered bool) error {
+func (p *shardPort) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 	// The coordinator's floors can run ahead of the client's: a replica
 	// substitution advances the substituted shard's drained mark without any
 	// drain reply ever passing through this shard's port. Every explicit
@@ -579,7 +557,7 @@ func (p *shardPort) Restart(reps []float64, floor, replicaFloor uint64, markReco
 		p.cl.replicaFloors[p.shard] = replicaFloor
 	}
 	p.cl.mu.Unlock()
-	ri := restartInfo{floor: floor, replicaFloor: replicaFloor, markRecovered: markRecovered, reps: reps}
+	ri := restartInfo{floor: floor, replicaFloor: replicaFloor, markRecovered: markRecovered}
 	ca, err := p.c.roundTrip(opRestart, p.shard, func(b []byte) []byte { return appendRestart(b, ri) })
 	if err != nil {
 		return err

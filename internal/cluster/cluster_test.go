@@ -40,11 +40,27 @@ func spawnTest(t *testing.T, opts SpawnOptions) *ProcCluster {
 	return pc
 }
 
-func mustStart(t *testing.T, cl *Client, numNodes int, replicated bool, reps []float64) {
+func mustStart(t *testing.T, tr manager.Transport, numNodes int, replicated bool) {
 	t.Helper()
-	if err := cl.Start(numNodes, replicated, reps); err != nil {
-		t.Fatalf("client Start: %v", err)
+	if err := tr.Start(numNodes, replicated); err != nil {
+		t.Fatalf("transport Start: %v", err)
 	}
+}
+
+// hostings are the two hosts of a shard core: the in-process loopback and a
+// socket worker process. Shard op sequences run against both, one row each.
+var hostings = []struct {
+	name string
+	open func(t *testing.T, stateDir string) manager.Transport // one shard
+}{
+	{"loopback", func(t *testing.T, stateDir string) manager.Transport {
+		lb := manager.NewLoopback(1, stateDir, persist.Options{})
+		t.Cleanup(func() { _ = lb.Close() })
+		return lb
+	}},
+	{"socket", func(t *testing.T, stateDir string) manager.Transport {
+		return spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, StateDir: stateDir, NoRespawn: true}).Client()
+	}},
 }
 
 func mkRatings(n, base int, seqStart uint64) []rating.Rating {
@@ -67,16 +83,12 @@ func sortBySeq(rs []rating.Rating) {
 }
 
 // TestClusterEndToEnd drives the full transport surface against real worker
-// processes: handshake, pipelined plain submits, drain snapshots, reputation
-// broadcast, WAL marks and compaction.
+// processes: handshake, pipelined plain submits, drain snapshots, WAL marks
+// and compaction.
 func TestClusterEndToEnd(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 2, Shards: 4, StateDir: t.TempDir(), NoRespawn: true})
 	cl := pc.Client()
-	reps := make([]float64, 16)
-	for i := range reps {
-		reps[i] = 1.0 / 16
-	}
-	mustStart(t, cl, 16, false, reps)
+	mustStart(t, cl, 16, false)
 
 	// Pipelined submission: send to every shard first, collect second — the
 	// overlap the overlay's submitBatchDirect relies on.
@@ -144,9 +156,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Lifecycle ops answer OK end to end.
 	for s := 0; s < 4; s++ {
 		sc := cl.Shard(s)
-		if err := sc.UpdateReps(reps, time.Second); err != nil {
-			t.Fatalf("UpdateReps shard %d: %v", s, err)
-		}
 		if err := sc.Mark(1); err != nil {
 			t.Fatalf("Mark shard %d: %v", s, err)
 		}
@@ -165,48 +174,52 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClusterFateBits checks the fault-mode entry routing: replica entries
-// land in the mirror ledger, deferred entries surface only at the drain.
+// TestClusterFateBits checks the fault-mode entry routing on both hostings:
+// replica entries land in the mirror ledger, deferred entries surface only
+// at the drain.
 func TestClusterFateBits(t *testing.T) {
-	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, NoRespawn: true})
-	cl := pc.Client()
-	mustStart(t, cl, 16, true, make([]float64, 16))
+	for _, host := range hostings {
+		t.Run(host.name, func(t *testing.T) {
+			tr := host.open(t, "")
+			mustStart(t, tr, 16, true)
 
-	sc := cl.Shard(0)
-	primary := mkRatings(4, 0, 1)
-	replica := mkRatings(3, 20, 101)
-	deferred := mkRatings(2, 40, 201)
-	var entries []manager.BatchEntry
-	for _, r := range primary {
-		entries = append(entries, manager.BatchEntry{R: r})
-	}
-	for _, r := range replica {
-		entries = append(entries, manager.BatchEntry{R: r, Replica: true})
-	}
-	for _, r := range deferred {
-		entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
-	}
-	errs, err := sc.SubmitEntries(entries, time.Second)()
-	if err != nil {
-		t.Fatalf("SubmitEntries: %v", err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("entry %d: %v", i, e)
-		}
-	}
-	ds, err := sc.Drain(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ds.HasReplica {
-		t.Fatal("replicated drain carried no replica snapshot")
-	}
-	if got, wantN := len(ds.Primary.Ratings), len(primary)+len(deferred); got != wantN {
-		t.Fatalf("primary snapshot has %d ratings, want %d (primary+deferred)", got, wantN)
-	}
-	if got := len(ds.Replica.Ratings); got != len(replica) {
-		t.Fatalf("replica snapshot has %d ratings, want %d", got, len(replica))
+			sc := tr.Shard(0)
+			primary := mkRatings(4, 0, 1)
+			replica := mkRatings(3, 20, 101)
+			deferred := mkRatings(2, 40, 201)
+			var entries []manager.BatchEntry
+			for _, r := range primary {
+				entries = append(entries, manager.BatchEntry{R: r})
+			}
+			for _, r := range replica {
+				entries = append(entries, manager.BatchEntry{R: r, Replica: true})
+			}
+			for _, r := range deferred {
+				entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
+			}
+			errs, err := sc.SubmitEntries(entries, time.Second)()
+			if err != nil {
+				t.Fatalf("SubmitEntries: %v", err)
+			}
+			for i, e := range errs {
+				if e != nil {
+					t.Fatalf("entry %d: %v", i, e)
+				}
+			}
+			ds, err := sc.Drain(time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ds.HasReplica {
+				t.Fatal("replicated drain carried no replica snapshot")
+			}
+			if got, wantN := len(ds.Primary.Ratings), len(primary)+len(deferred); got != wantN {
+				t.Fatalf("primary snapshot has %d ratings, want %d (primary+deferred)", got, wantN)
+			}
+			if got := len(ds.Replica.Ratings); got != len(replica) {
+				t.Fatalf("replica snapshot has %d ratings, want %d", got, len(replica))
+			}
+		})
 	}
 }
 
@@ -215,7 +228,7 @@ func TestClusterFateBits(t *testing.T) {
 func TestClusterRejectsOutOfRange(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, NoRespawn: true})
 	cl := pc.Client()
-	mustStart(t, cl, 8, false, make([]float64, 8))
+	mustStart(t, cl, 8, false)
 
 	rs := []rating.Rating{
 		{Rater: 1, Ratee: 2, Value: 1, Seq: 1},
@@ -250,7 +263,7 @@ func TestWorkerGracefulDrainSIGTERM(t *testing.T) {
 		HealthBase: hb, NoRespawn: true, Linger: 1500 * time.Millisecond,
 	})
 	cl := pc.Client()
-	mustStart(t, cl, 16, false, make([]float64, 16))
+	mustStart(t, cl, 16, false)
 
 	// A background submitter keeps batches in flight so the SIGTERM lands
 	// mid-stream; ackedSeq tracks the durability obligation.
@@ -359,7 +372,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 	stateDir := t.TempDir()
 	pc := spawnTest(t, SpawnOptions{Workers: 2, Shards: 2, StateDir: stateDir})
 	cl := pc.Client()
-	mustStart(t, cl, 16, false, make([]float64, 16))
+	mustStart(t, cl, 16, false)
 
 	want := make(map[int][]rating.Rating)
 	var seq uint64
@@ -428,7 +441,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 }
 
 // TestRestartFatedBarrier pins the replay semantics of fated records across
-// the two restart flavors. A coordinator-initiated restart (markRecovered
+// the two restart flavors, on both hostings. A coordinator-initiated restart (markRecovered
 // false) is an incarnation crash: the replica mirror and deferred queues are
 // rebuilt empty — per-interval state does not survive a crash — and a barrier
 // mark is appended to the WAL. A reconnect resync (markRecovered true)
@@ -437,82 +450,84 @@ func TestWorkerKillRecovery(t *testing.T) {
 // it would double-count ratings when the mirror is later substituted for a
 // crashed primary.
 func TestRestartFatedBarrier(t *testing.T) {
-	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, StateDir: t.TempDir(), NoRespawn: true})
-	cl := pc.Client()
-	reps := make([]float64, 16)
-	mustStart(t, cl, 16, true, reps)
-	sc := cl.Shard(0)
+	for _, host := range hostings {
+		t.Run(host.name, func(t *testing.T) {
+			tr := host.open(t, t.TempDir())
+			mustStart(t, tr, 16, true)
+			sc := tr.Shard(0)
 
-	submitFated := func(replica, deferred []rating.Rating) {
-		t.Helper()
-		var entries []manager.BatchEntry
-		for _, r := range replica {
-			entries = append(entries, manager.BatchEntry{R: r, Replica: true})
-		}
-		for _, r := range deferred {
-			entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
-		}
-		errs, err := sc.SubmitEntries(entries, time.Second)()
-		if err != nil {
-			t.Fatalf("SubmitEntries: %v", err)
-		}
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("entry %d: %v", i, e)
+			submitFated := func(replica, deferred []rating.Rating) {
+				t.Helper()
+				var entries []manager.BatchEntry
+				for _, r := range replica {
+					entries = append(entries, manager.BatchEntry{R: r, Replica: true})
+				}
+				for _, r := range deferred {
+					entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
+				}
+				errs, err := sc.SubmitEntries(entries, time.Second)()
+				if err != nil {
+					t.Fatalf("SubmitEntries: %v", err)
+				}
+				for i, e := range errs {
+					if e != nil {
+						t.Fatalf("entry %d: %v", i, e)
+					}
+				}
 			}
-		}
-	}
 
-	primary1 := mkRatings(4, 0, 1)
-	if _, err := sc.SubmitPlain(primary1)(); err != nil {
-		t.Fatal(err)
-	}
-	submitFated(mkRatings(3, 20, 101), mkRatings(2, 40, 201))
+			primary1 := mkRatings(4, 0, 1)
+			if _, err := sc.SubmitPlain(primary1)(); err != nil {
+				t.Fatal(err)
+			}
+			submitFated(mkRatings(3, 20, 101), mkRatings(2, 40, 201))
 
-	// Plan restart: primary records replay above the floor, but the mirror
-	// and deferred queue come back empty.
-	if err := sc.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Restart(reps, 0, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := sc.Drain(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(ds.Primary.Ratings); got != len(primary1) {
-		t.Fatalf("post-plan-restart primary has %d ratings, want %d (deferred queue must not survive the crash)", got, len(primary1))
-	}
-	if got := len(ds.Replica.Ratings); got != 0 {
-		t.Fatalf("post-plan-restart mirror has %d ratings, want 0", got)
-	}
+			// Plan restart: primary records replay above the floor, but the mirror
+			// and deferred queue come back empty.
+			if err := sc.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.Restart(0, 0, false); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := sc.Drain(time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(ds.Primary.Ratings); got != len(primary1) {
+				t.Fatalf("post-plan-restart primary has %d ratings, want %d (deferred queue must not survive the crash)", got, len(primary1))
+			}
+			if got := len(ds.Replica.Ratings); got != 0 {
+				t.Fatalf("post-plan-restart mirror has %d ratings, want 0", got)
+			}
 
-	// Resync restart: only fated records journaled after the barrier replay.
-	// replicaFloor stays 0 — the barrier alone must fence the old records.
-	replica2 := mkRatings(3, 20, 301)
-	deferred2 := mkRatings(2, 40, 401)
-	submitFated(replica2, deferred2)
-	if err := sc.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Restart(reps, ds.Primary.MaxSeq, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	ds, err = sc.Drain(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(ds.Primary.Ratings); got != len(deferred2) {
-		t.Fatalf("post-resync primary has %d ratings, want %d (deferred2 flushed, nothing resurrected)", got, len(deferred2))
-	}
-	if got := len(ds.Replica.Ratings); got != len(replica2) {
-		t.Fatalf("post-resync mirror has %d ratings, want %d (pre-barrier mirror records must not replay)", got, len(replica2))
-	}
-	for _, r := range ds.Replica.Ratings {
-		if r.Seq < 301 {
-			t.Fatalf("mirror resurrected pre-barrier record seq=%d", r.Seq)
-		}
+			// Resync restart: only fated records journaled after the barrier replay.
+			// replicaFloor stays 0 — the barrier alone must fence the old records.
+			replica2 := mkRatings(3, 20, 301)
+			deferred2 := mkRatings(2, 40, 401)
+			submitFated(replica2, deferred2)
+			if err := sc.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.Restart(ds.Primary.MaxSeq, 0, true); err != nil {
+				t.Fatal(err)
+			}
+			ds, err = sc.Drain(time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(ds.Primary.Ratings); got != len(deferred2) {
+				t.Fatalf("post-resync primary has %d ratings, want %d (deferred2 flushed, nothing resurrected)", got, len(deferred2))
+			}
+			if got := len(ds.Replica.Ratings); got != len(replica2) {
+				t.Fatalf("post-resync mirror has %d ratings, want %d (pre-barrier mirror records must not replay)", got, len(replica2))
+			}
+			for _, r := range ds.Replica.Ratings {
+				if r.Seq < 301 {
+					t.Fatalf("mirror resurrected pre-barrier record seq=%d", r.Seq)
+				}
+			}
+		})
 	}
 }
 
@@ -522,7 +537,7 @@ func TestRestartFatedBarrier(t *testing.T) {
 func TestClusterCrashRestart(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, StateDir: t.TempDir(), NoRespawn: true})
 	cl := pc.Client()
-	mustStart(t, cl, 16, false, make([]float64, 16))
+	mustStart(t, cl, 16, false)
 	sc := cl.Shard(0)
 
 	rs := mkRatings(10, 0, 1)
@@ -536,7 +551,7 @@ func TestClusterCrashRestart(t *testing.T) {
 	if _, err := sc.SubmitPlain(mkRatings(1, 0, 100))(); err == nil {
 		t.Fatal("submit to a crashed shard succeeded")
 	}
-	if err := sc.Restart(make([]float64, 16), 0, 0, false); err != nil {
+	if err := sc.Restart(0, 0, false); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
 	ds, err := sc.Drain(time.Second)

@@ -22,7 +22,7 @@ func testFrames() ([][]byte, []byte) {
 	hello := finishFrame(appendHello(
 		appendHeader(beginFrame(nil), opHello, 1, 0),
 		helloInfo{version: protoVersion, numNodes: 64, replicated: true,
-			shards: []uint32{0, 2}, reps: []float64{0.25, 0.5, 0.25}}))
+			shards: []uint32{0, 2}}))
 	add(hello)
 
 	rs := []rating.Rating{

@@ -2,7 +2,9 @@ package manager
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"socialtrust/internal/fault"
@@ -192,5 +194,61 @@ func TestSubmitBatchDeferredLandsAtDrain(t *testing.T) {
 	reps := o.EndInterval()
 	if reps[1] <= reps[2] {
 		t.Fatalf("deferred rating never reached the ledger: rep[1]=%v rep[2]=%v", reps[1], reps[2])
+	}
+}
+
+// TestSubmitRejectsInvalidRatings: rater, ratee and self-rating are checked
+// once at overlay entry, in both modes and through both entry points, so no
+// shard ever sees a rating its ledger would panic on. The valid rating
+// riding in the same batch still lands.
+func TestSubmitRejectsInvalidRatings(t *testing.T) {
+	const n, k = 4, 2
+	rows := []struct {
+		name string
+		r    rating.Rating
+		want string
+	}{
+		{"rater-negative", rating.Rating{Rater: -1, Ratee: 1, Value: 1}, "rater -1 out of range"},
+		{"rater-n", rating.Rating{Rater: n, Ratee: 1, Value: 1}, "rater 4 out of range"},
+		{"ratee-n", rating.Rating{Rater: 1, Ratee: n, Value: 1}, "ratee 4 out of range"},
+		{"self", rating.Rating{Rater: 2, Ratee: 2, Value: 1}, "self-rating by node 2 rejected"},
+	}
+	valid := rating.Rating{Rater: 0, Ratee: 1, Value: 1}
+	for _, faulty := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			for _, row := range rows {
+				name := fmt.Sprintf("fault=%v/batch=%v/%s", faulty, batch, row.name)
+				t.Run(name, func(t *testing.T) {
+					var opts Options
+					if faulty {
+						opts.Fault = alwaysOnPlan(t, fault.Config{}, k)
+					}
+					o, err := NewWithOptions(n, k, ebay.New(n), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer o.Close()
+					var got error
+					if batch {
+						errs := o.SubmitBatch([]rating.Rating{row.r, valid})
+						if errs == nil || errs[1] != nil {
+							t.Fatalf("SubmitBatch errors = %v, want only entry 0 rejected", errs)
+						}
+						got = errs[0]
+					} else {
+						got = o.Submit(row.r)
+						if err := o.Submit(valid); err != nil {
+							t.Fatalf("valid Submit after a rejected one: %v", err)
+						}
+					}
+					if got == nil || !strings.Contains(got.Error(), row.want) {
+						t.Fatalf("error = %v, want %q", got, row.want)
+					}
+					if reps := o.EndInterval(); reps[1] <= reps[2] {
+						t.Fatalf("valid rating missing after the rejection: rep[1]=%v rep[2]=%v", reps[1], reps[2])
+					}
+				})
+			}
+		}
 	}
 }

@@ -322,10 +322,10 @@ func TestStalledShardTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	// Wedge both shards: an unbuffered, never-read drain reply channel
-	// blocks each serve loop inside its current message forever.
+	// Wedge both shards: an operation that blocks until Close holds each
+	// loopback host's goroutine inside it, so nothing queued behind it runs.
 	for i := 0; i < k; i++ {
-		o.shards[i].cur.Load().inbox <- message{kind: msgDrain, drainC: make(chan drainReply)}
+		o.loopback.hosts[i].ops <- func() { <-o.loopback.closed }
 	}
 	start := time.Now()
 	err = o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1})

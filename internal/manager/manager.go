@@ -3,16 +3,17 @@
 // managers. Each resource manager is responsible for collecting the ratings
 // and calculating the global reputation of certain nodes."
 //
-// The overlay shards the peer population across manager goroutines by
-// ratee ID. Peers submit ratings to, and query reputations from, the manager
-// responsible for the node in question; all communication flows through
-// per-manager mailboxes (channels), so the overlay behaves like a message-
-// passing distributed system while running in one process. At the end of
-// each reputation-update interval the coordinator drains every manager's
-// shard ledger, merges the snapshots, runs the (optionally
-// SocialTrust-wrapped) reputation engine — the paper's periodic global
-// reputation calculation — and broadcasts the fresh reputation vector back
-// to every manager, which then serves queries from its local copy.
+// The overlay shards the peer population across managers by ratee ID. Each
+// shard is one ShardCore — the ledgers, replica mirror, deferred queues and
+// optional WAL of one manager — and the overlay reaches it only through a
+// ShardConn. Two hosts implement that connection: the in-process Loopback,
+// where one goroutine per shard applies operations serially, and the socket
+// worker of internal/cluster, which does the same in another process. Peers
+// submit ratings to the manager responsible for the ratee. At the end of
+// each reputation-update interval the coordinator drains every shard's
+// ledger, merges the snapshots, runs the (optionally SocialTrust-wrapped)
+// reputation engine — the paper's periodic global reputation calculation —
+// and publishes the fresh vector, from which every query is served.
 //
 // # Failure model
 //
@@ -24,27 +25,25 @@
 //   - every submission is mirrored to a replica ledger on the successor
 //     shard (ratee's shard p primary, (p+1) mod k replica), so one shard
 //     crash loses no interval data;
-//   - Submit and Query carry context deadlines with bounded
-//     exponential-backoff retry, failing over to the replica shard when the
-//     primary is down or unreachable;
+//   - submissions carry deadlines with bounded exponential-backoff retry,
+//     and both submissions and queries fail over to the replica shard when
+//     the primary is down or unreachable;
 //   - EndInterval degrades gracefully: it drains whatever shards answer
 //     within the drain deadline, substitutes replica mirrors for crashed
 //     primaries, scores partial drains in manager_drain_partial_total, and
-//     never blocks on a dead shard. Crashed shards rejoin with the
-//     last-known reputation vector.
+//     never blocks on a dead shard. Crashed shards rejoin at a later
+//     interval boundary.
 //
 // Without a plan the overlay behaves exactly as the seed implementation
 // (single ledger per shard, no mirroring, no timeouts) except that a dead
-// shard now yields typed ErrShardDown/ErrTimeout errors instead of
-// deadlocking callers.
+// shard yields typed ErrShardDown/ErrTimeout errors instead of deadlocking
+// callers.
 package manager
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,9 +57,9 @@ import (
 	"socialtrust/internal/reputation"
 )
 
-// Overlay metrics (recorded only while obs is enabled). Per-shard mailbox
-// depth is exported as manager_mailbox_depth{shard="N"} gauges, refreshed by
-// each shard after every message it handles.
+// Overlay metrics (recorded only while obs is enabled). Per-shard queue
+// depth of in-process shards is exported as manager_mailbox_depth{shard="N"}
+// gauges, refreshed by each Loopback host after every operation it applies.
 var (
 	mSubmitTotal  = obs.C("manager_submit_total")
 	mSubmitErrors = obs.C("manager_submit_errors_total")
@@ -92,11 +91,11 @@ func init() {
 	obs.Help("manager_submit_errors_total", "Rating submissions rejected or failed after retries.")
 	obs.Help("manager_query_total", "Reputation queries served by the overlay.")
 	obs.Help("manager_drain_total", "Update-interval drains executed (EndInterval calls).")
-	obs.Help("manager_drain_seconds", "Wall time of one update-interval drain (collection, merge, engine update, broadcast).")
-	obs.Help("manager_submit_seconds", "Latency of one rating submission through the mailbox.")
-	obs.Help("manager_query_seconds", "Latency of one reputation query through the mailbox.")
+	obs.Help("manager_drain_seconds", "Wall time of one update-interval drain (collection, merge, engine update, publication).")
+	obs.Help("manager_submit_seconds", "Latency of one Submit or SubmitBatch call.")
+	obs.Help("manager_query_seconds", "Latency of one reputation query.")
 	obs.Help("manager_submit_batch_size", "Per-shard batch sizes delivered by SubmitBatch.")
-	obs.Help("manager_mailbox_depth", "Pending messages in each shard's mailbox.")
+	obs.Help("manager_mailbox_depth", "Pending operations in each in-process shard's queue.")
 	obs.Help("manager_submit_retries_total", "Submission delivery retries after timeouts.")
 	obs.Help("manager_submit_failover_total", "Submissions redirected to the replica holder of a crashed shard.")
 	obs.Help("manager_shard_crashes_total", "Shard crashes injected or observed.")
@@ -108,71 +107,11 @@ func init() {
 	obs.Help("manager_interval_active_pairs", "Distinct active rater-ratee pairs per interval drain.")
 }
 
-// message is the manager mailbox protocol.
-type message struct {
-	kind     msgKind
-	r        rating.Rating
-	replica  bool // submission targets the shard's replica mirror ledger
-	deferred bool // delayed delivery: applied at the next drain
-	node     int
-	repC     chan float64
-	drainC   chan drainReply
-	reps     []float64
-	errC     chan error
-	batch    []BatchEntry    // msgSubmitBatch payload (fault mode): one ledger op per entry
-	plain    []rating.Rating // msgSubmitBatch payload (direct mode): primary ledger adds only
-	errsC    chan []error    // msgSubmitBatch reply, index-aligned; nil = every entry landed
-	tctx     span.Context    // trace context: parent for shard-side span emission (zero when off)
-}
-
-// drainReply is one shard's answer to a drain: its primary interval
-// snapshot and (fault-tolerant mode) the mirror of its predecessor's.
-type drainReply struct {
-	primary rating.Snapshot
-	replica rating.Snapshot
-}
-
-type msgKind int
-
-const (
-	msgSubmit msgKind = iota
-	msgSubmitBatch
-	msgQuery
-	msgDrain
-	msgUpdateReps
-)
-
-// shardState is one incarnation of a manager goroutine: crash kills the
-// incarnation (its ledgers die with it), restart installs a fresh one.
-type shardState struct {
-	id    int
-	inbox chan message
-	// kill is closed by the overlay to crash this incarnation; down is
-	// closed by the serve loop on exit (crash or overlay close), releasing
-	// every caller blocked on this incarnation.
-	kill chan struct{}
-	down chan struct{}
-
-	ledger  *rating.Ledger // primary: ratings whose ratee maps to this shard
-	replica *rating.Ledger // fault mode: mirror of the predecessor's primary
-	// deferred holds delay-injected submissions, applied to the matching
-	// ledger when the next drain arrives (a slow message that still made it
-	// within the interval).
-	deferred        []rating.Rating
-	deferredReplica []rating.Rating
-
-	reps []float64
-}
-
-// shard is the stable identity of one manager slot across incarnations.
-// Exactly one of the two hosting forms is active: remote nil means the shard
-// runs as an in-process goroutine behind cur; remote non-nil means every
-// operation goes through the transport endpoint and cur is never populated.
+// shard is the overlay's handle on one manager slot: its host connection
+// and the one down flag crash and restart flip.
 type shard struct {
-	id     int
-	cur    atomic.Pointer[shardState]
-	remote ShardConn
-	depth  *obs.Gauge // mailbox depth after the last handled message
+	conn ShardConn
+	down atomic.Bool
 }
 
 // Options tunes the overlay's fault-tolerance machinery. The zero Options
@@ -186,10 +125,8 @@ type Options struct {
 	Fault *fault.Plan
 
 	// SubmitTimeout bounds one submission delivery attempt (default 5ms);
-	// QueryTimeout one reputation query attempt (default 5ms); DrainTimeout
-	// one shard's drain or broadcast in EndInterval (default 100ms).
+	// DrainTimeout one shard's drain in EndInterval (default 100ms).
 	SubmitTimeout time.Duration
-	QueryTimeout  time.Duration
 	DrainTimeout  time.Duration
 
 	// RetryAttempts is the per-target delivery attempt budget (default 3);
@@ -198,30 +135,27 @@ type Options struct {
 	RetryAttempts int
 	RetryBackoff  time.Duration
 
-	// StateDir enables the durability layer: each shard's primary ledger is
-	// journaled to <StateDir>/shard-<i>.wal before submissions are
-	// acknowledged, and the overlay exposes the crash-restart recovery
-	// surface (DrainedSeqs, Resume, CompactWALs). Empty disables persistence.
+	// StateDir enables the durability layer: each in-process shard journals
+	// to <StateDir>/shard-<i>.wal before acknowledging a submission, and the
+	// overlay exposes the crash-restart recovery surface (DrainedSeqs,
+	// Resume, CompactWALs). Empty disables persistence.
 	StateDir string
 	// Persist tunes the shard WALs (fsync policy).
 	Persist persist.Options
 
-	// Transport, when non-nil, routes shards out of process: each shard the
-	// transport claims (Shard(i) != nil) is driven over the wire instead of
-	// by an in-process goroutine. Remote shards own their WALs — StateDir,
-	// if also set, applies only to the shards the transport leaves local —
-	// and the overlay keeps their drained high-water marks so crash/restart
-	// replay floors travel with the Restart operation. See internal/cluster
-	// for the socket implementation.
+	// Transport, when non-nil, hosts shards out of process: each shard it
+	// claims (Shard(i) != nil) is driven over the wire instead of by the
+	// in-process Loopback. Those shards own their WALs — StateDir, if also
+	// set, applies only to the shards left in process — and the overlay
+	// keeps every shard's drained high-water marks, so replay floors travel
+	// with the Restart operation. See internal/cluster for the socket
+	// implementation.
 	Transport Transport
 }
 
 func (o Options) withDefaults() Options {
 	if o.SubmitTimeout <= 0 {
 		o.SubmitTimeout = 5 * time.Millisecond
-	}
-	if o.QueryTimeout <= 0 {
-		o.QueryTimeout = 5 * time.Millisecond
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 100 * time.Millisecond
@@ -237,41 +171,27 @@ func (o Options) withDefaults() Options {
 
 // Overlay is a running resource-manager overlay.
 type Overlay struct {
-	numNodes int
-	shards   []*shard
-	engine   reputation.Engine
-	opts     Options
-	plan     *fault.Plan // nil = seed behavior
+	numNodes  int
+	shards    []*shard
+	engine    reputation.Engine
+	opts      Options
+	plan      *fault.Plan // nil = seed behavior
+	loopback  *Loopback   // hosts every shard the transport leaves unclaimed
+	transport Transport   // nil = every shard in process
 
-	mu       sync.Mutex // guards engine updates, shard lifecycle, and Close
-	lastReps []float64  // last broadcast vector; restarting shards sync to it
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	once     sync.Once
+	mu     sync.Mutex                // guards engine updates, shard lifecycle, and Close
+	reps   atomic.Pointer[[]float64] // published vector; every query is served from it
+	closed chan struct{}
+	once   sync.Once
 
-	// Durability layer (nil/empty without Options.StateDir): per-shard WALs
-	// journaling primary ledgers, the per-shard drained sequence high-water
-	// marks, and the interval counter stamped on WAL marks. All guarded by mu.
-	// With a transport installed, wals holds nil entries for remote shards
-	// (they own their WAL files) while drainedSeq still tracks every shard —
-	// the drained marks are the replay floors Restart ships over the wire.
-	wals       []*persist.WAL
+	// Durability bookkeeping (nil without Options.StateDir or a transport),
+	// guarded by mu: per shard, the max ingest sequence of the primary data
+	// (drainedSeq) and of the replica snapshot (replicaSeq) completed drains
+	// covered — the replay floors Restart carries — and the interval counter
+	// stamped on WAL marks.
 	drainedSeq []uint64
-	// replicaSeq tracks, per shard, the max ingest sequence of the replica
-	// snapshot the shard shipped in a completed drain — the replay floor for
-	// the fated (replica/deferred) records a remote shard journals.
 	replicaSeq []uint64
 	intervals  uint64
-
-	// Remote-shard coordination (nil without Options.Transport). remoteDown
-	// mirrors the crash/restart lifecycle the in-process path expresses with
-	// incarnation channels; remoteReps is the coordinator's copy of the last
-	// vector every live remote shard holds, serving queries without a wire
-	// round trip (live shards are always synced to it: broadcast updates
-	// them, and a restarting shard receives it with its Restart).
-	transport  Transport
-	remoteDown []atomic.Bool
-	remoteReps atomic.Pointer[[]float64]
 }
 
 // Typed overlay errors.
@@ -287,7 +207,7 @@ var (
 	ErrTimeout = errors.New("manager: request timed out")
 )
 
-// New starts an overlay of numManagers manager goroutines fronting the
+// New starts an overlay of numManagers in-process managers fronting the
 // given reputation engine. The engine may be a bare baseline or a
 // SocialTrust-wrapped one; the overlay treats it as the global reputation
 // calculation of the paper's design.
@@ -295,7 +215,8 @@ func New(numNodes, numManagers int, engine reputation.Engine) (*Overlay, error) 
 	return NewWithOptions(numNodes, numManagers, engine, Options{})
 }
 
-// NewWithOptions starts an overlay with explicit fault-tolerance options.
+// NewWithOptions starts an overlay with explicit fault-tolerance, durability
+// and hosting options.
 func NewWithOptions(numNodes, numManagers int, engine reputation.Engine, opts Options) (*Overlay, error) {
 	if numNodes <= 0 {
 		return nil, fmt.Errorf("manager: numNodes must be positive")
@@ -311,46 +232,41 @@ func NewWithOptions(numNodes, numManagers int, engine reputation.Engine, opts Op
 			opts.Fault.Shards(), numManagers)
 	}
 	o := &Overlay{
-		numNodes: numNodes,
-		engine:   engine,
-		opts:     opts.withDefaults(),
-		plan:     opts.Fault,
-		closed:   make(chan struct{}),
+		numNodes:  numNodes,
+		engine:    engine,
+		opts:      opts.withDefaults(),
+		plan:      opts.Fault,
+		transport: opts.Transport,
+		loopback:  NewLoopback(numManagers, opts.StateDir, opts.Persist),
+		closed:    make(chan struct{}),
 	}
-	initial := engine.Reputations()
-	o.lastReps = append([]float64(nil), initial...)
-	if opts.Transport != nil {
-		o.transport = opts.Transport
-		if err := o.transport.Start(numNodes, opts.Fault != nil, initial); err != nil {
+	o.publish(engine.Reputations())
+	if opts.StateDir != "" || o.transport != nil {
+		o.drainedSeq = make([]uint64, numManagers)
+		o.replicaSeq = make([]uint64, numManagers)
+	}
+	conns := make([]ShardConn, numManagers)
+	if o.transport != nil {
+		if err := o.transport.Start(numNodes, o.replicated()); err != nil {
 			return nil, fmt.Errorf("manager: transport start: %w", err)
 		}
-		o.remoteDown = make([]atomic.Bool, numManagers)
-		vec := append([]float64(nil), initial...)
-		o.remoteReps.Store(&vec)
+		for i := range conns {
+			conns[i] = o.transport.Shard(i)
+		}
 	}
-	if err := o.openWALs(numManagers); err != nil {
+	// The one hosting branch: shards the transport leaves unclaimed run on
+	// the loopback.
+	if err := o.loopback.start(numNodes, o.replicated(), func(i int) bool { return conns[i] != nil }); err != nil {
+		if o.transport != nil {
+			_ = o.transport.Close()
+		}
 		return nil, err
 	}
-	for m := 0; m < numManagers; m++ {
-		s := &shard{
-			id:    m,
-			depth: obs.G(obs.Label("manager_mailbox_depth", "shard", strconv.Itoa(m))),
+	for i := range conns {
+		if conns[i] == nil {
+			conns[i] = o.loopback.Shard(i)
 		}
-		if o.transport != nil {
-			s.remote = o.transport.Shard(m)
-		}
-		if s.remote == nil {
-			st := o.newIncarnation(m, initial)
-			if o.wals != nil && o.wals[m] != nil {
-				st.ledger.SetJournal(walJournal{o.wals[m]})
-			}
-			s.cur.Store(st)
-		}
-		o.shards = append(o.shards, s)
-		if s.remote == nil {
-			o.wg.Add(1)
-			go o.serve(s, s.cur.Load())
-		}
+		o.shards = append(o.shards, &shard{conn: conns[i]})
 	}
 	mShards.Set(float64(numManagers))
 	mShardsDown.Set(0)
@@ -360,157 +276,10 @@ func NewWithOptions(numNodes, numManagers int, engine reputation.Engine, opts Op
 // replicated reports whether replica mirroring is active.
 func (o *Overlay) replicated() bool { return o.plan != nil }
 
-// newIncarnation builds a fresh shard state with empty ledgers.
-func (o *Overlay) newIncarnation(id int, reps []float64) *shardState {
-	st := &shardState{
-		id:     id,
-		inbox:  make(chan message, 256),
-		kill:   make(chan struct{}),
-		down:   make(chan struct{}),
-		ledger: rating.NewLedger(o.numNodes),
-		reps:   append([]float64(nil), reps...),
-	}
-	if o.replicated() {
-		st.replica = rating.NewLedger(o.numNodes)
-	}
-	return st
-}
-
-// serve is a manager incarnation's event loop. It exits on the overlay's
-// closed signal or the incarnation's kill signal; inbox channels are never
-// closed, so senders cannot panic. On exit it closes down, releasing every
-// caller still waiting on this incarnation.
-func (o *Overlay) serve(s *shard, st *shardState) {
-	defer o.wg.Done()
-	defer close(st.down)
-	for {
-		select {
-		case <-o.closed:
-			return
-		case <-st.kill:
-			return
-		case msg := <-st.inbox:
-			switch msg.kind {
-			case msgSubmit:
-				st.handleSubmit(msg)
-			case msgSubmitBatch:
-				tsp := span.From(msg.tctx, "shard.deliver_batch", span.PhaseIngest)
-				if tsp != nil {
-					tsp.SetInt("shard", int64(st.id))
-					tsp.SetInt("entries", int64(len(msg.plain)+len(msg.batch)))
-					replicas := 0
-					for _, e := range msg.batch {
-						if e.Replica {
-							replicas++
-						}
-					}
-					if replicas > 0 {
-						tsp.SetInt("replica_entries", int64(replicas))
-					}
-				}
-				st.handleSubmitBatch(msg)
-				tsp.End()
-			case msgQuery:
-				if msg.node < 0 || msg.node >= o.numNodes {
-					msg.repC <- 0
-					s.depth.Set(float64(len(st.inbox)))
-					continue
-				}
-				msg.repC <- st.reps[msg.node]
-			case msgDrain:
-				tsp := span.From(msg.tctx, "shard.drain", span.PhaseDrain).SetInt("shard", int64(st.id))
-				rep := st.drain()
-				tsp.End()
-				// The reply send must not wedge the loop past shutdown: a
-				// caller that gave up (drain deadline) never reads drainC.
-				select {
-				case msg.drainC <- rep:
-				case <-o.closed:
-					return
-				case <-st.kill:
-					return
-				}
-			case msgUpdateReps:
-				st.reps = msg.reps
-				msg.errC <- nil
-			}
-			s.depth.Set(float64(len(st.inbox)))
-		}
-	}
-}
-
-// handleSubmit applies one submission to the incarnation's ledgers.
-// Delay-injected messages are acknowledged on receipt and applied at the
-// next drain.
-func (st *shardState) handleSubmit(msg message) {
-	if msg.deferred {
-		if msg.replica {
-			st.deferredReplica = append(st.deferredReplica, msg.r)
-		} else {
-			st.deferred = append(st.deferred, msg.r)
-		}
-		msg.errC <- nil
-		return
-	}
-	if msg.replica {
-		msg.errC <- st.replica.Add(msg.r)
-		return
-	}
-	msg.errC <- st.ledger.Add(msg.r)
-}
-
-// handleSubmitBatch applies one batched submission under a single mailbox
-// receive — the per-shard coalescing that makes batch ingest cheap: one
-// channel round trip and one reply allocation amortize over every rating
-// bound for this shard. Entry semantics (replica/deferred fate bits,
-// per-entry ledger errors) are identical to a sequence of msgSubmits.
-func (st *shardState) handleSubmitBatch(msg message) {
-	if msg.plain != nil {
-		// Direct mode: hand the whole sub-batch to the ledger, which visits
-		// each of its internal shards once instead of once per rating.
-		msg.errsC <- st.ledger.AddBatch(msg.plain)
-		return
-	}
-	var errs []error
-	for i, e := range msg.batch {
-		var err error
-		switch {
-		case e.Deferred && e.Replica:
-			st.deferredReplica = append(st.deferredReplica, e.R)
-		case e.Deferred:
-			st.deferred = append(st.deferred, e.R)
-		case e.Replica:
-			err = st.replica.Add(e.R)
-		default:
-			err = st.ledger.Add(e.R)
-		}
-		if err != nil {
-			if errs == nil {
-				errs = make([]error, len(msg.batch))
-			}
-			errs[i] = err
-		}
-	}
-	msg.errsC <- errs
-}
-
-// drain flushes deferred submissions into the ledgers and snapshots the
-// interval.
-func (st *shardState) drain() drainReply {
-	for _, r := range st.deferred {
-		_ = st.ledger.Add(r) // validated at submit time
-	}
-	st.deferred = st.deferred[:0]
-	var rep drainReply
-	rep.primary = st.ledger.EndInterval()
-	if st.replica != nil {
-		for _, r := range st.deferredReplica {
-			_ = st.replica.Add(r)
-		}
-		st.deferredReplica = st.deferredReplica[:0]
-		rep.replica = st.replica.EndInterval()
-	}
-	return rep
+// publish installs a copy of reps as the vector queries are served from.
+func (o *Overlay) publish(reps []float64) {
+	vec := append([]float64(nil), reps...)
+	o.reps.Store(&vec)
 }
 
 // ManagerOf returns the manager index responsible for a node.
@@ -522,9 +291,9 @@ func (o *Overlay) replicaOf(primary int) int { return (primary + 1) % len(o.shar
 // NumManagers reports the overlay size.
 func (o *Overlay) NumManagers() int { return len(o.shards) }
 
-// downOrClosed maps a dead-incarnation signal to the right typed error:
-// Close also tears incarnations down, and callers racing it should see
-// ErrClosed, not ErrShardDown.
+// downOrClosed maps a dead-shard signal to the right typed error: Close
+// also stops the hosts, and callers racing it should see ErrClosed, not
+// ErrShardDown.
 func (o *Overlay) downOrClosed() error {
 	select {
 	case <-o.closed:
@@ -534,94 +303,67 @@ func (o *Overlay) downOrClosed() error {
 	}
 }
 
-// remoteErr maps a transport-level failure onto the overlay's typed errors:
-// deadlines stay ErrTimeout (retryable), everything else is the remote
-// analogue of a dead incarnation — ErrShardDown, or ErrClosed when the
-// overlay itself is shutting down.
-func (o *Overlay) remoteErr(err error) error {
-	if err == nil {
+// unreachable reports why shard s cannot take an operation right now —
+// ErrClosed after Close, ErrShardDown while it is down — or nil.
+func (o *Overlay) unreachable(s int) error {
+	select {
+	case <-o.closed:
+		return ErrClosed
+	default:
+	}
+	if o.shards[s].down.Load() {
+		return ErrShardDown
+	}
+	return nil
+}
+
+// connErr maps a host-level failure onto the overlay's typed errors:
+// deadlines stay ErrTimeout (retryable), everything else — a crashed core, a
+// dead connection — is ErrShardDown, or ErrClosed when the overlay itself is
+// shutting down.
+func (o *Overlay) connErr(err error) error {
+	switch {
+	case err == nil:
 		return nil
-	}
-	if errors.Is(err, ErrTimeout) {
+	case errors.Is(err, ErrTimeout):
 		return ErrTimeout
-	}
-	if errors.Is(err, ErrClosed) {
+	case errors.Is(err, ErrClosed):
 		return ErrClosed
 	}
 	return o.downOrClosed()
 }
 
-// Submit routes one rating to the ratee's manager. Safe for concurrent use.
-// Returns ErrClosed after Close, ErrShardDown when the responsible shard
-// (and, in fault-tolerant mode, its replica) has crashed, and ErrTimeout
-// when delivery attempts exhausted their deadlines.
-func (o *Overlay) Submit(r rating.Rating) error {
-	sp := mSubmitLat.Start()
-	err := o.submit(r)
-	sp.End()
-	mSubmitTotal.Inc()
-	if err != nil {
-		mSubmitErrors.Inc()
-	}
-	return err
-}
-
-func (o *Overlay) submit(r rating.Rating) error {
-	if r.Ratee < 0 || r.Ratee >= o.numNodes {
+// validate rejects a rating no shard may see: the ledger panics on
+// out-of-range node IDs, and self-ratings are refused.
+func (o *Overlay) validate(r rating.Rating) error {
+	switch {
+	case r.Ratee < 0 || r.Ratee >= o.numNodes:
 		return fmt.Errorf("manager: ratee %d out of range", r.Ratee)
+	case r.Rater < 0 || r.Rater >= o.numNodes:
+		return fmt.Errorf("manager: rater %d out of range", r.Rater)
+	case r.Rater == r.Ratee:
+		return fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
 	}
-	if o.plan != nil {
-		return o.submitFT(r)
-	}
-	return o.submitDirect(r)
+	return nil
 }
 
-// submitDirect is the seed fast path: one blocking delivery to the primary
-// shard, with no replication or deadline. It cannot hang: a dead
-// incarnation's down signal aborts both the send and the ack wait.
-func (o *Overlay) submitDirect(r rating.Rating) error {
-	s := o.shards[o.ManagerOf(r.Ratee)]
-	if s.remote != nil {
-		select {
-		case <-o.closed:
-			return ErrClosed
-		default:
-		}
-		res, terr := s.remote.SubmitPlain([]rating.Rating{r})()
-		if terr != nil {
-			return o.remoteErr(terr)
-		}
-		if len(res) > 0 {
-			return res[0]
-		}
-		return nil
+// Submit routes one rating to the ratee's manager: a SubmitBatch of one.
+// Safe for concurrent use. Returns ErrClosed after Close, ErrShardDown when
+// the responsible shard (and, in fault-tolerant mode, its replica) has
+// crashed, and ErrTimeout when delivery attempts exhausted their deadlines.
+func (o *Overlay) Submit(r rating.Rating) error {
+	if errs := o.SubmitBatch([]rating.Rating{r}); errs != nil {
+		return errs[0]
 	}
-	st := s.cur.Load()
-	errC := make(chan error, 1)
-	select {
-	case <-o.closed:
-		return ErrClosed
-	case <-st.down:
-		return o.downOrClosed()
-	case st.inbox <- message{kind: msgSubmit, r: r, errC: errC}:
-	}
-	select {
-	case err := <-errC:
-		return err
-	case <-st.down:
-		return o.downOrClosed()
-	case <-o.closed:
-		return ErrClosed // shut down before the manager processed it
-	}
+	return nil
 }
 
 // SubmitBatch routes many ratings at once, grouping them by responsible
-// shard and delivering one batched mailbox message per shard instead of one
-// per rating. Replica mirroring and fault-plan verdicts (drop / delay /
-// duplicate) are still drawn and applied per rating, so a batch behaves
-// exactly like the equivalent Submit sequence — it just costs one channel
-// round trip per shard. The returned slice is index-aligned with rs; a nil
-// return means every rating landed. Safe for concurrent use.
+// shard and delivering one batch per shard. Every rating is validated at
+// entry. Replica mirroring and fault-plan verdicts (drop / delay /
+// duplicate) are drawn and applied per rating, each shard's in rating
+// order. The returned slice is index-aligned with rs; a nil return means
+// every rating landed. Safe for concurrent use.
 func (o *Overlay) SubmitBatch(rs []rating.Rating) []error {
 	if len(rs) == 0 {
 		return nil
@@ -653,9 +395,9 @@ func (o *Overlay) SubmitBatch(rs []rating.Rating) []error {
 // submitBatchDirect is the plain batched path: counting-sort the ratings
 // into one contiguous arena grouped by shard, send every shard its
 // sub-batch, then collect the acks — the sends all land before the first ack
-// wait, so the shards chew their batches concurrently. The error slice is
+// wait, so the shards apply their batches concurrently. The error slice is
 // allocated only when something actually fails, so the all-landed common
-// case costs two arena allocations plus one channel round trip per shard.
+// case costs two arena allocations plus one round trip per shard.
 func (o *Overlay) submitBatchDirect(rs []rating.Rating, tctx span.Context) []error {
 	var errs []error
 	fail := func(i int, err error) {
@@ -667,8 +409,8 @@ func (o *Overlay) submitBatchDirect(rs []rating.Rating, tctx span.Context) []err
 	k := len(o.shards)
 	starts := make([]int, k+1)
 	for i := range rs {
-		if rs[i].Ratee < 0 || rs[i].Ratee >= o.numNodes {
-			fail(i, fmt.Errorf("manager: ratee %d out of range", rs[i].Ratee))
+		if err := o.validate(rs[i]); err != nil {
+			fail(i, err)
 			continue
 		}
 		starts[o.ManagerOf(rs[i].Ratee)+1]++
@@ -694,74 +436,46 @@ func (o *Overlay) submitBatchDirect(rs []rating.Rating, tctx span.Context) []err
 		idx[fill[s]] = i
 		fill[s]++
 	}
-	// Send every shard its sub-batch — in-process mailboxes and pipelined
-	// transport writes alike — before collecting any acknowledgement, so the
-	// shards chew their batches concurrently whether they live in this
-	// process or behind a socket.
-	replies := make([]chan []error, k)
-	var waits []func() ([]error, error)
+	waits := make([]func() ([]error, error), k)
+	spans := make([]*span.Active, k)
 	for s := 0; s < k; s++ {
 		lo, hi := starts[s], starts[s+1]
 		if lo == hi {
 			continue
 		}
 		mBatchSize.Observe(float64(hi - lo))
-		if rc := o.shards[s].remote; rc != nil {
-			select {
-			case <-o.closed:
-				failGroup(&errs, len(rs), idx[lo:hi], ErrClosed)
-			default:
-				if waits == nil {
-					waits = make([]func() ([]error, error), k)
-				}
-				waits[s] = rc.SubmitPlain(arena[lo:hi])
-			}
+		if err := o.unreachable(s); err != nil {
+			failGroup(&errs, len(rs), idx[lo:hi], err)
 			continue
 		}
-		st := o.shards[s].cur.Load()
-		errsC := make(chan []error, 1)
-		select {
-		case <-o.closed:
-			failGroup(&errs, len(rs), idx[lo:hi], ErrClosed)
-		case <-st.down:
-			failGroup(&errs, len(rs), idx[lo:hi], o.downOrClosed())
-		case st.inbox <- message{kind: msgSubmitBatch, plain: arena[lo:hi], errsC: errsC, tctx: tctx}:
-			replies[s] = errsC
-		}
+		spans[s] = deliverSpan(tctx, s, hi-lo)
+		waits[s] = o.shards[s].conn.SubmitPlain(arena[lo:hi])
 	}
 	for s := 0; s < k; s++ {
+		if waits[s] == nil {
+			continue
+		}
 		lo, hi := starts[s], starts[s+1]
-		if waits != nil && waits[s] != nil {
-			res, terr := waits[s]()
-			if terr != nil {
-				failGroup(&errs, len(rs), idx[lo:hi], o.remoteErr(terr))
-				continue
-			}
-			for x, e := range res { // nil res = whole sub-batch landed
-				if e != nil {
-					fail(idx[lo+x], e)
-				}
-			}
+		res, err := waits[s]()
+		spans[s].End()
+		if err != nil {
+			failGroup(&errs, len(rs), idx[lo:hi], o.connErr(err))
 			continue
 		}
-		if replies[s] == nil {
-			continue
-		}
-		st := o.shards[s].cur.Load()
-		select {
-		case res := <-replies[s]:
-			for x, e := range res { // nil res = whole sub-batch landed
-				if e != nil {
-					fail(idx[lo+x], e)
-				}
+		for x, e := range res { // nil res = whole sub-batch landed
+			if e != nil {
+				fail(idx[lo+x], e)
 			}
-		case <-st.down:
-			failGroup(&errs, len(rs), idx[lo:hi], o.downOrClosed())
-		case <-o.closed:
-			failGroup(&errs, len(rs), idx[lo:hi], ErrClosed)
 		}
 	}
 	return errs
+}
+
+// deliverSpan opens the span of one shard's sub-batch delivery, from send to
+// acknowledgement.
+func deliverSpan(tctx span.Context, s, entries int) *span.Active {
+	return span.From(tctx, "shard.deliver_batch", span.PhaseIngest).
+		SetInt("shard", int64(s)).SetInt("entries", int64(entries))
 }
 
 // failGroup stamps one error on every listed slot, allocating the
@@ -784,27 +498,18 @@ type batchDelivery struct {
 	err     error
 }
 
-// submitBatchFT is the fault-tolerant batched path. Every rating is
-// validated up front and expands to a primary delivery plus (on multi-shard
-// overlays) a replica mirror, exactly as submitFT; the deliveries then run
-// in retry rounds — one batched message per shard per round, each delivery
-// drawing its own fault verdict — until they land, fail hard, or exhaust
-// the attempt budget. Outcomes combine per rating with submitFT's rules: a
-// dead primary with a live mirror is a failover, not an error.
+// submitBatchFT is the fault-tolerant batched path. Every valid rating
+// expands to a primary delivery plus (on multi-shard overlays) a replica
+// mirror; the deliveries then run in retry rounds — one batch per shard per
+// round, each delivery drawing its own fault verdict — until they land, fail
+// hard, or exhaust the attempt budget. A dead primary with a live mirror is
+// a failover, not an error.
 func (o *Overlay) submitBatchFT(rs []rating.Rating, tctx span.Context) []error {
 	errs := make([]error, len(rs))
 	dels := make([]batchDelivery, 0, 2*len(rs))
 	hasReplica := make([]bool, len(rs))
 	for i, r := range rs {
-		switch {
-		case r.Ratee < 0 || r.Ratee >= o.numNodes:
-			errs[i] = fmt.Errorf("manager: ratee %d out of range", r.Ratee)
-			continue
-		case r.Rater < 0 || r.Rater >= o.numNodes:
-			errs[i] = fmt.Errorf("manager: rater %d out of range", r.Rater)
-			continue
-		case r.Rater == r.Ratee:
-			errs[i] = fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
+		if errs[i] = o.validate(r); errs[i] != nil {
 			continue
 		}
 		p := o.ManagerOf(r.Ratee)
@@ -861,10 +566,10 @@ func (o *Overlay) submitBatchFT(rs []rating.Rating, tctx span.Context) []error {
 }
 
 // deliverBatchRound runs one delivery attempt for every pending delivery,
-// one batched message per shard, and returns the deliveries still worth
-// retrying (lost in transit or timed out at the ack deadline). Hard
-// failures — shard down, overlay closed, ledger rejection — are final and
-// stay out of the next round, mirroring deliverRetry's abort conditions.
+// one batch per shard, and returns the deliveries still worth retrying (lost
+// in transit or timed out at the ack deadline). Hard failures — shard down,
+// overlay closed, ledger rejection — are final and stay out of the next
+// round.
 func (o *Overlay) deliverBatchRound(rs []rating.Rating, dels []batchDelivery, pending []int, tctx span.Context) []int {
 	byShard := make([][]int, len(o.shards))
 	for _, di := range pending {
@@ -876,36 +581,18 @@ func (o *Overlay) deliverBatchRound(rs []rating.Rating, dels []batchDelivery, pe
 		if len(group) == 0 {
 			continue
 		}
-		// The down check precedes the verdict draws — the remote flag mirrors
-		// the incarnation signal exactly, so the plan's RNG stream consumes
-		// the same draws in the same order either way.
-		rc := o.shards[s].remote
-		var st *shardState
-		if rc != nil {
-			if o.remoteDown[s].Load() {
-				err := o.downOrClosed()
-				for _, di := range group {
-					dels[di].err = err
-				}
-				continue
+		// The down check precedes the verdict draws, so a down shard consumes
+		// none of the plan's random stream.
+		if err := o.unreachable(s); err != nil {
+			for _, di := range group {
+				dels[di].err = err
 			}
-		} else {
-			st = o.shards[s].cur.Load()
-			select {
-			case <-st.down:
-				err := o.downOrClosed()
-				for _, di := range group {
-					dels[di].err = err
-				}
-				continue
-			default:
-			}
+			continue
 		}
-		// Draw each delivery's fate from the plan — per rating, exactly as
-		// the unbatched path — and assemble the surviving entries. slots
-		// maps batch entries back to deliveries; a duplicate-injected copy
-		// gets slot -1 (its ledger ack is deliberately ignored, matching
-		// deliverOnce's fire-and-forget duplicate).
+		// Draw each delivery's fate from the plan, per rating, and assemble
+		// the surviving entries. slots maps batch entries back to
+		// deliveries; a duplicate-injected copy gets slot -1 (its ack is
+		// deliberately ignored, fire-and-forget).
 		batch := make([]BatchEntry, 0, len(group))
 		slots := make([]int, 0, len(group))
 		for _, di := range group {
@@ -913,7 +600,9 @@ func (o *Overlay) deliverBatchRound(rs []rating.Rating, dels []batchDelivery, pe
 			v := o.plan.DeliveryVerdict(s)
 			if v.Drop {
 				// Lost in transit: the ack deadline lapses in simulated
-				// time, and the delivery stays retryable.
+				// time — returning immediately, so high drop rates do not
+				// stall the run on wall-clock sleeps — and the delivery
+				// stays retryable.
 				d.err = ErrTimeout
 				still = append(still, di)
 				continue
@@ -929,235 +618,42 @@ func (o *Overlay) deliverBatchRound(rs []rating.Rating, dels []batchDelivery, pe
 			continue
 		}
 		mBatchSize.Observe(float64(len(batch)))
-		if rc != nil {
-			res, terr := rc.SubmitEntries(batch, o.opts.SubmitTimeout)()
-			if terr != nil {
-				terr = o.remoteErr(terr)
-				for _, di := range slots {
-					if di < 0 {
-						continue
-					}
-					dels[di].err = terr
-					if errors.Is(terr, ErrTimeout) {
-						still = append(still, di)
-					}
-				}
-				continue
-			}
-			for x, di := range slots {
-				if di < 0 {
-					continue
-				}
-				if res == nil {
-					dels[di].err = nil
-				} else {
-					dels[di].err = res[x]
-				}
-			}
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), o.opts.SubmitTimeout)
-		msg := message{kind: msgSubmitBatch, batch: batch, errsC: make(chan []error, 1), tctx: tctx}
-		if err := o.send(ctx, st, msg); err != nil {
-			for _, di := range slots {
-				if di < 0 {
-					continue
-				}
+		tsp := deliverSpan(tctx, s, len(batch))
+		res, err := o.shards[s].conn.SubmitEntries(batch, o.opts.SubmitTimeout)()
+		tsp.End()
+		err = o.connErr(err)
+		for x, di := range slots {
+			switch {
+			case di < 0:
+			case err != nil:
 				dels[di].err = err
 				if errors.Is(err, ErrTimeout) {
 					still = append(still, di)
 				}
-			}
-			cancel()
-			continue
-		}
-		select {
-		case res := <-msg.errsC:
-			// nil res = the whole sub-batch landed; clear any error left
-			// over from an earlier dropped or timed-out attempt.
-			for x, di := range slots {
-				if di < 0 {
-					continue
-				}
-				if res == nil {
-					dels[di].err = nil
-				} else {
-					dels[di].err = res[x]
-				}
-			}
-		case <-st.down:
-			err := o.downOrClosed()
-			for _, di := range slots {
-				if di >= 0 {
-					dels[di].err = err
-				}
-			}
-		case <-o.closed:
-			for _, di := range slots {
-				if di >= 0 {
-					dels[di].err = ErrClosed
-				}
-			}
-		case <-ctx.Done():
-			for _, di := range slots {
-				if di < 0 {
-					continue
-				}
-				dels[di].err = ErrTimeout
-				still = append(still, di)
+			case res == nil:
+				// The whole sub-batch landed; clear any error left over from
+				// an earlier dropped or timed-out attempt.
+				dels[di].err = nil
+			default:
+				dels[di].err = res[x]
 			}
 		}
-		cancel()
 	}
 	return still
 }
 
-// submitFT is the fault-tolerant submission path: the rating is validated
-// up front (delay-injected copies are acknowledged before the ledger sees
-// them), delivered to the primary with retries, and mirrored to the replica
-// shard. The submission survives as long as either copy lands: a primary
-// failure with a successful mirror is a failover, not an error.
-func (o *Overlay) submitFT(r rating.Rating) error {
-	if r.Rater < 0 || r.Rater >= o.numNodes {
-		return fmt.Errorf("manager: rater %d out of range", r.Rater)
-	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
-	}
-	p := o.ManagerOf(r.Ratee)
-	rep := o.replicaOf(p)
-	primaryErr := o.deliverRetry(p, r, false)
-	var replicaErr error
-	if rep != p {
-		replicaErr = o.deliverRetry(rep, r, true)
-	} else {
-		replicaErr = primaryErr // single-shard overlay has no distinct replica
-	}
-	if primaryErr == nil {
-		return nil
-	}
-	if errors.Is(primaryErr, ErrClosed) {
-		return primaryErr
-	}
-	if replicaErr == nil {
-		// Primary unreachable but the replica holds the rating; the next
-		// drain recovers it from the mirror.
-		mFailovers.Inc()
-		return nil
-	}
-	return primaryErr
-}
-
-// deliverRetry attempts delivery to one shard with bounded exponential
-// backoff. Shard-down and overlay-closed conditions abort immediately
-// (crashed incarnations only restart at interval boundaries, so retrying
-// them is wasted time); timeouts are retried.
-func (o *Overlay) deliverRetry(shardID int, r rating.Rating, replica bool) error {
-	backoff := o.opts.RetryBackoff
-	var err error
-	for attempt := 0; attempt < o.opts.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			mRetries.Inc()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		err = o.deliverOnce(shardID, r, replica)
-		if err == nil || errors.Is(err, ErrShardDown) || errors.Is(err, ErrClosed) {
-			return err
-		}
-	}
-	return err
-}
-
-// deliverOnce performs one submission delivery under the submit deadline,
-// consulting the fault plan for the message's fate.
-func (o *Overlay) deliverOnce(shardID int, r rating.Rating, replica bool) error {
-	if rc := o.shards[shardID].remote; rc != nil {
-		if o.remoteDown[shardID].Load() {
-			return o.downOrClosed()
-		}
-		v := o.plan.DeliveryVerdict(shardID)
-		if v.Drop {
-			return ErrTimeout
-		}
-		entries := []BatchEntry{{R: r, Replica: replica, Deferred: v.Delay}}
-		if v.Duplicate {
-			// The duplicate rides in the same wire batch; its per-entry ack
-			// is ignored, matching the in-process fire-and-forget copy.
-			entries = append(entries, entries[0])
-		}
-		res, terr := rc.SubmitEntries(entries, o.opts.SubmitTimeout)()
-		if terr != nil {
-			return o.remoteErr(terr)
-		}
-		if len(res) > 0 {
-			return res[0]
-		}
-		return nil
-	}
-	st := o.shards[shardID].cur.Load()
-	select {
-	case <-st.down:
-		return o.downOrClosed()
-	default:
-	}
-	v := o.plan.DeliveryVerdict(shardID)
-	if v.Drop {
-		// The message is lost in transit: the ack deadline lapses. The
-		// timeout is charged in simulated time — returning immediately —
-		// so high drop rates do not stall the run on wall-clock sleeps.
-		return ErrTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), o.opts.SubmitTimeout)
-	defer cancel()
-	msg := message{kind: msgSubmit, r: r, replica: replica, deferred: v.Delay, errC: make(chan error, 1)}
-	if err := o.send(ctx, st, msg); err != nil {
-		return err
-	}
-	if v.Duplicate {
-		dup := msg
-		dup.errC = make(chan error, 1) // nobody reads it; buffered so the shard never blocks
-		_ = o.send(ctx, st, dup)
-	}
-	select {
-	case err := <-msg.errC:
-		return err
-	case <-st.down:
-		return o.downOrClosed()
-	case <-o.closed:
-		return ErrClosed
-	case <-ctx.Done():
-		return ErrTimeout
-	}
-}
-
-// send enqueues one message on an incarnation's mailbox under ctx.
-func (o *Overlay) send(ctx context.Context, st *shardState, msg message) error {
-	select {
-	case st.inbox <- msg:
-		return nil
-	case <-st.down:
-		return o.downOrClosed()
-	case <-o.closed:
-		return ErrClosed
-	case <-ctx.Done():
-		return ErrTimeout
-	}
-}
-
-// Reputation queries the manager responsible for node for its current
-// global reputation. Safe for concurrent use; returns 0 after Close or when
-// the shard is unreachable (use Query for the typed error).
+// Reputation returns node's current global reputation. Safe for concurrent
+// use; returns 0 after Close or when the shard is unreachable (use Query for
+// the typed error).
 func (o *Overlay) Reputation(node int) float64 {
 	v, _ := o.Query(node)
 	return v
 }
 
-// Query returns node's reputation from its manager's broadcast copy. In
-// fault-tolerant mode an unreachable primary fails over to the replica
-// shard (every shard holds the full broadcast vector). Returns ErrShardDown
-// when no responsible shard is reachable, ErrTimeout on deadline, ErrClosed
-// after Close.
+// Query returns node's reputation from the published vector, on behalf of
+// the node's manager. In fault-tolerant mode a down primary fails over to
+// the replica shard. Returns ErrShardDown when no responsible shard is up,
+// ErrClosed after Close.
 func (o *Overlay) Query(node int) (float64, error) {
 	if node < 0 || node >= o.numNodes {
 		return 0, fmt.Errorf("manager: node %d out of range", node)
@@ -1168,66 +664,14 @@ func (o *Overlay) Query(node int) (float64, error) {
 		mQueryTotal.Inc()
 	}()
 	p := o.ManagerOf(node)
-	v, err := o.queryShard(p, node)
-	if err == nil || o.plan == nil || errors.Is(err, ErrClosed) {
-		return v, err
+	err := o.unreachable(p)
+	if rep := o.replicaOf(p); err != nil && o.plan != nil && !errors.Is(err, ErrClosed) && rep != p {
+		err = o.unreachable(rep)
 	}
-	if rep := o.replicaOf(p); rep != p {
-		return o.queryShard(rep, node)
+	if err != nil {
+		return 0, err
 	}
-	return v, err
-}
-
-// queryShard asks one shard for node's reputation. Fault-tolerant mode
-// bounds the wait with the query deadline.
-//
-// Remote shards are served from the coordinator's remoteReps mirror instead
-// of a wire round trip: every live remote shard holds exactly the last
-// broadcast vector (UpdateReps at each drain, Restart on rejoin), so the
-// mirror answers identically — including the down/failover behavior, which
-// keys off remoteDown just as the in-process path keys off the incarnation
-// signal. This keeps the simulator's millions of per-cycle queries off the
-// socket.
-func (o *Overlay) queryShard(shardID, node int) (float64, error) {
-	if o.shards[shardID].remote != nil {
-		select {
-		case <-o.closed:
-			return 0, ErrClosed
-		default:
-		}
-		if o.remoteDown[shardID].Load() {
-			return 0, o.downOrClosed()
-		}
-		return (*o.remoteReps.Load())[node], nil
-	}
-	st := o.shards[shardID].cur.Load()
-	repC := make(chan float64, 1)
-	msg := message{kind: msgQuery, node: node, repC: repC}
-	var timeout <-chan time.Time
-	if o.plan != nil {
-		t := time.NewTimer(o.opts.QueryTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case <-o.closed:
-		return 0, ErrClosed
-	case <-st.down:
-		return 0, o.downOrClosed()
-	case <-timeout:
-		return 0, ErrTimeout
-	case st.inbox <- msg:
-	}
-	select {
-	case rep := <-repC:
-		return rep, nil
-	case <-st.down:
-		return 0, o.downOrClosed()
-	case <-o.closed:
-		return 0, ErrClosed
-	case <-timeout:
-		return 0, ErrTimeout
-	}
+	return (*o.reps.Load())[node], nil
 }
 
 // DrainStatus reports how one EndInterval degraded under faults.
@@ -1251,8 +695,8 @@ type DrainStatus struct {
 // EndInterval performs the paper's periodic global reputation update: it
 // drains every manager's shard, merges the snapshots in deterministic
 // order, feeds them to the engine (where a wrapped SocialTrust filter
-// performs its B1–B4 adjustment), and broadcasts the new reputation vector
-// back to all managers. Returns the updated vector.
+// performs its B1–B4 adjustment), and publishes the new reputation vector.
+// Returns the updated vector.
 func (o *Overlay) EndInterval() []float64 {
 	reps, _ := o.EndIntervalStatus()
 	return reps
@@ -1262,8 +706,8 @@ func (o *Overlay) EndInterval() []float64 {
 // Under a fault plan it applies the interval's scheduled crashes first
 // (losing those shards' primary interval ledgers), drains the survivors
 // within the drain deadline, substitutes replica mirrors for crashed
-// primaries, and restarts shards whose outage ended — synced to the freshly
-// broadcast vector. It never blocks on a dead shard.
+// primaries, and restarts shards whose outage ended. It never blocks on a
+// dead shard.
 func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1299,8 +743,8 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 				rec.RecordManager(event.ManagerEvent{Kind: "crash", Shard: s, Interval: interval})
 			}
 		}
-		// Restarts are applied after the drain+broadcast below so the
-		// rejoining incarnation syncs to the interval's fresh vector.
+		// Restarts are applied after the drain below, so a rejoining shard
+		// starts on the next interval.
 		defer func() {
 			for _, s := range restarts {
 				o.restartShardLocked(s)
@@ -1316,7 +760,7 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	// update in phase 3 emits its own adjust/iterate spans.
 	tsp := span.Ambient("manager.drain_shards", span.PhaseDrain).SetInt("shards", int64(len(o.shards)))
 	tctx := tsp.Context()
-	replies := make([]*drainReply, len(o.shards))
+	replies := make([]*DrainSnapshots, len(o.shards))
 	var wg sync.WaitGroup
 	for i := range o.shards {
 		wg.Add(1)
@@ -1335,53 +779,39 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	snaps := make([]rating.Snapshot, 0, len(o.shards))
 	for i := range o.shards {
 		if replies[i] != nil {
-			snaps = append(snaps, replies[i].primary)
-			o.noteDrained(i, replies[i].primary.MaxSeq)
-			o.noteReplicaDrained(i, replies[i].replica.MaxSeq)
+			snaps = append(snaps, replies[i].Primary)
+			o.noteDrained(i, replies[i].Primary.MaxSeq)
+			o.noteReplicaDrained(i, replies[i].Replica.MaxSeq)
 			status.Drained++
 			continue
 		}
 		if j := o.replicaOf(i); o.replicated() && j != i && replies[j] != nil {
-			snaps = append(snaps, replies[j].replica)
-			o.noteDrained(i, replies[j].replica.MaxSeq)
+			snaps = append(snaps, replies[j].Replica)
+			o.noteDrained(i, replies[j].Replica.MaxSeq)
 			status.ReplicaUsed = append(status.ReplicaUsed, i)
 			mDrainReplica.Inc()
 			continue
 		}
 		status.Missing = append(status.Missing, i)
 	}
-	// A remote shard that failed its drain while not plan-down is in an
-	// unknown state: the worker process may still hold — or later replay —
-	// interval data this drain just recovered through the mirror. Force a
-	// restart carrying the post-drain floors so the worker discards its
-	// stale interval state and rebuilds only the uncovered WAL tail: the
-	// out-of-process analogue of a crashed incarnation's discarded ledger.
-	for i := range o.shards {
-		rc := o.shards[i].remote
-		if rc == nil || replies[i] != nil || o.remoteDown[i].Load() {
+	// A shard that failed its drain while not down is in an unknown state:
+	// its host may still hold — or later replay — interval data this drain
+	// just recovered through the mirror. Force a restart carrying the
+	// post-drain floors, so the host discards its stale interval state and
+	// rebuilds only the uncovered WAL tail. Then stamp (and, per the fsync
+	// policy, sync) an interval mark on every live shard's WAL: the tail of
+	// a completed interval must reach stable storage before the caller
+	// snapshots against it.
+	for i, s := range o.shards {
+		if s.down.Load() {
 			continue
 		}
-		var floor, replicaFloor uint64
-		if o.drainedSeq != nil {
-			floor = o.drainedSeq[i]
+		if replies[i] == nil {
+			floor, replicaFloor := o.floors(i)
+			_ = s.conn.Restart(floor, replicaFloor, false)
 		}
-		if o.replicaSeq != nil {
-			replicaFloor = o.replicaSeq[i]
-		}
-		_ = rc.Restart(o.lastReps, floor, replicaFloor, false)
-	}
-	// Stamp (and, per the fsync policy, sync) an interval mark on every WAL:
-	// the tail of a completed interval must reach stable storage before the
-	// caller snapshots against it. Remote shards receive the mark as a wire
-	// operation — their worker process applies it to the WAL it owns.
-	for i := range o.wals {
-		if o.wals[i] != nil {
-			_ = o.wals[i].AppendMark(o.intervals)
-		}
-	}
-	for _, s := range o.shards {
-		if s.remote != nil && !o.remoteDown[s.id].Load() {
-			_ = s.remote.Mark(o.intervals)
+		if o.persistent() {
+			_ = s.conn.Mark(o.intervals)
 		}
 	}
 	if len(status.Missing) > 0 {
@@ -1396,46 +826,8 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	// engine reputation — the engine state is cumulative.
 	o.engine.Update(merged)
 	reps := o.engine.Reputations()
-	o.lastReps = append(o.lastReps[:0], reps...)
-	// Phase 4: broadcast to every reachable shard. Down shards are skipped;
-	// they sync on restart.
-	bsp := span.Ambient("manager.broadcast", span.PhaseDrain).SetInt("shards", int64(len(o.shards)))
-	for _, s := range o.shards {
-		if rc := s.remote; rc != nil {
-			if !o.remoteDown[s.id].Load() {
-				var timeout time.Duration
-				if o.plan != nil {
-					timeout = o.opts.DrainTimeout
-				}
-				_ = rc.UpdateReps(reps, timeout)
-			}
-			continue
-		}
-		st := s.cur.Load()
-		errC := make(chan error, 1)
-		msg := message{kind: msgUpdateReps, reps: append([]float64(nil), reps...), errC: errC}
-		ctx := context.Background()
-		var cancel context.CancelFunc = func() {}
-		if o.plan != nil {
-			ctx, cancel = context.WithTimeout(ctx, o.opts.DrainTimeout)
-		}
-		if err := o.send(ctx, st, msg); err == nil {
-			select {
-			case <-errC:
-			case <-st.down:
-			case <-o.closed:
-			case <-ctx.Done():
-			}
-		}
-		cancel()
-	}
-	if o.transport != nil {
-		// Refresh the query mirror: every live remote shard now holds reps,
-		// and a down shard will receive the same vector with its Restart.
-		vec := append([]float64(nil), reps...)
-		o.remoteReps.Store(&vec)
-	}
-	bsp.End()
+	// Phase 4: publish. Queries for every shard are served from this vector.
+	o.publish(reps)
 	if rec != nil {
 		rec.RecordManager(event.ManagerEvent{
 			Kind:     "drain",
@@ -1451,118 +843,53 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	return reps, status
 }
 
-// drainShard sends one drain request and collects the reply, bounded by the
-// drain deadline in fault mode. Returns nil when the shard is unreachable.
-func (o *Overlay) drainShard(i int, tctx span.Context) *drainReply {
-	if rc := o.shards[i].remote; rc != nil {
-		if o.remoteDown[i].Load() {
-			return nil
-		}
-		var timeout time.Duration
-		if o.plan != nil {
-			timeout = o.opts.DrainTimeout
-		}
-		ds, err := rc.Drain(timeout)
-		if err != nil {
-			return nil
-		}
-		return &drainReply{primary: ds.Primary, replica: ds.Replica}
+// drainShard drains one shard, bounded by the drain deadline in fault mode.
+// Returns nil when the shard is down or unreachable.
+func (o *Overlay) drainShard(i int, tctx span.Context) *DrainSnapshots {
+	if o.shards[i].down.Load() {
+		return nil
 	}
-	st := o.shards[i].cur.Load()
-	drainC := make(chan drainReply, 1)
-	msg := message{kind: msgDrain, drainC: drainC, tctx: tctx}
-	ctx := context.Background()
+	var timeout time.Duration
 	if o.plan != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.opts.DrainTimeout)
-		defer cancel()
+		timeout = o.opts.DrainTimeout
 	}
-	if err := o.send(ctx, st, msg); err != nil {
-		return nil
-	}
-	select {
-	case rep := <-drainC:
-		return &rep
-	case <-st.down:
-		return nil
-	case <-o.closed:
-		return nil
-	case <-ctx.Done():
+	tsp := span.From(tctx, "shard.drain", span.PhaseDrain).SetInt("shard", int64(i))
+	ds, err := o.shards[i].conn.Drain(timeout)
+	tsp.End()
+	if err != nil {
 		return nil
 	}
+	return &ds
 }
 
-// crashShardLocked kills the shard's current incarnation, losing its
+// crashShardLocked marks the shard down and crashes its core, losing its
 // interval ledgers. Callers hold o.mu. Idempotent on already-down shards.
 func (o *Overlay) crashShardLocked(i int) {
-	if rc := o.shards[i].remote; rc != nil {
-		if o.remoteDown[i].Load() {
-			return // already down
-		}
-		_ = rc.Crash()
-		o.remoteDown[i].Store(true)
-		mShardsDown.Add(1)
+	s := o.shards[i]
+	if s.down.Swap(true) {
 		return
 	}
-	st := o.shards[i].cur.Load()
-	select {
-	case <-st.down:
-		return // already down
-	default:
-	}
-	close(st.kill)
-	<-st.down // wait for the serve loop to exit before proceeding
+	_ = s.conn.Crash()
 	mShardsDown.Add(1)
 }
 
-// restartShardLocked installs a fresh incarnation synced to the last
-// broadcast reputation vector. Callers hold o.mu. A live shard is left
-// untouched. With persistence on, the shard's recoverable WAL tail — rating
-// records above its drained high-water mark, journaled by the incarnation
-// that crashed — is replayed into the fresh primary ledger before the journal
-// is reattached, so a WAL-backed shard crash loses nothing that was
-// acknowledged (the replica mirror alone can miss replica-dropped
-// deliveries). Replay happens before the incarnation is published, so no
-// concurrent traffic races the ledger.
+// restartShardLocked brings a down shard back: a fresh incarnation that
+// replays its recoverable WAL tail — records above its drained high-water
+// mark — so a WAL-backed shard crash loses nothing that was acknowledged
+// (the replica mirror alone can miss replica-dropped deliveries). Callers
+// hold o.mu. A live shard is left untouched.
 func (o *Overlay) restartShardLocked(i int) {
 	s := o.shards[i]
-	if rc := s.remote; rc != nil {
-		if !o.remoteDown[i].Load() {
-			return // still alive
-		}
-		var floor, replicaFloor uint64
-		if o.drainedSeq != nil {
-			floor = o.drainedSeq[i]
-		}
-		if o.replicaSeq != nil {
-			replicaFloor = o.replicaSeq[i]
-		}
-		// The worker replays its own WAL above the drained floors — the exact
-		// records the in-process replayShardWAL would restore, plus the fated
-		// replica/deferred records only worker-side durability journals.
-		_ = rc.Restart(o.lastReps, floor, replicaFloor, false)
-		o.remoteDown[i].Store(false)
-		mShardsDown.Add(-1)
+	if !s.down.Load() {
 		return
 	}
-	st := s.cur.Load()
-	select {
-	case <-st.down:
-	default:
-		return // still alive
-	}
-	fresh := o.newIncarnation(i, o.lastReps)
-	if o.wals != nil && o.wals[i] != nil {
-		o.replayShardWAL(i, fresh.ledger, 0, false)
-		fresh.ledger.SetJournal(walJournal{o.wals[i]})
-	}
-	s.cur.Store(fresh)
-	o.wg.Add(1)
-	go o.serve(s, fresh)
+	floor, replicaFloor := o.floors(i)
+	_ = s.conn.Restart(floor, replicaFloor, false)
+	s.down.Store(false)
 	mShardsDown.Add(-1)
 }
 
-// crashShard is the test hook for killing one shard outside a fault plan.
+// crashShard is the test hook for crashing one shard outside a fault plan.
 func (o *Overlay) crashShard(i int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1605,17 +932,16 @@ func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
 	return out
 }
 
-// Close shuts all manager goroutines down. Close is idempotent and safe to
-// race against in-flight calls: Submit returns ErrClosed, queries return 0,
-// and EndInterval returns a zero vector once the overlay is closed. Ratings
-// still queued in manager inboxes at close time are dropped.
+// Close shuts the overlay down. Close is idempotent and safe to race
+// against in-flight calls: Submit returns ErrClosed, queries return 0, and
+// EndInterval returns a zero vector once the overlay is closed. Ratings
+// still queued at in-process shards at close time are dropped.
 func (o *Overlay) Close() {
 	o.once.Do(func() {
 		o.mu.Lock()
 		defer o.mu.Unlock()
 		close(o.closed)
-		o.wg.Wait()
-		o.closeWALs()
+		_ = o.loopback.Close()
 		if o.transport != nil {
 			_ = o.transport.Close()
 		}

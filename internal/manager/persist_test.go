@@ -27,6 +27,9 @@ func seqRatings(n int, cycle int, seq *uint64) []rating.Rating {
 	return rs
 }
 
+// shardWAL returns in-process shard i's WAL.
+func shardWAL(o *Overlay, i int) *persist.WAL { return o.loopback.hosts[i].core.wal }
+
 // TestRestartReplayNoDoubleCount is the WAL-replay / replica-mirror overlap
 // test: when a crashed shard's interval was already recovered from its
 // replica mirror at the drain, the restart's WAL replay must contribute
@@ -176,15 +179,15 @@ func TestResumeDedupesReplayedSubmissions(t *testing.T) {
 		}
 	}
 	for _, r := range tail {
-		st := o2.shards[o2.ManagerOf(r.Ratee)].cur.Load()
-		if c := st.ledger.Counts(r.Rater, r.Ratee); c.Total() != 1 {
+		core := o2.loopback.hosts[o2.ManagerOf(r.Ratee)].core
+		if c := core.ledger.Counts(r.Rater, r.Ratee); c.Total() != 1 {
 			t.Fatalf("pair (%d,%d) counted %d times after replay+resubmit, want 1", r.Rater, r.Ratee, c.Total())
 		}
 	}
 	// The WAL holds exactly one copy of each tail record: the replayed copy
 	// was not re-journaled, and the deduped resubmission was not journaled.
-	for i, w := range o2.wals {
-		recs, err := w.ReadBack()
+	for i := range o2.shards {
+		recs, err := shardWAL(o2, i).ReadBack()
 		if err != nil {
 			t.Fatalf("shard %d ReadBack: %v", i, err)
 		}
@@ -228,10 +231,10 @@ func TestCompactWALsKeepsRecoverableTail(t *testing.T) {
 	if err := o.CompactWALs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.wals[1].MaxSeq(); got == 0 {
+	if got := shardWAL(o, 1).MaxSeq(); got == 0 {
 		t.Fatal("compaction rotated shard 1's recoverable tail away")
 	}
-	if got := o.wals[0].MaxSeq(); got != 0 {
+	if got := shardWAL(o, 0).MaxSeq(); got != 0 {
 		t.Fatalf("shard 0's fully drained WAL not rotated (MaxSeq %d)", got)
 	}
 	// Two more intervals: shards restart, the tail replays and drains; now
@@ -241,7 +244,7 @@ func TestCompactWALsKeepsRecoverableTail(t *testing.T) {
 	if err := o.CompactWALs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.wals[1].MaxSeq(); got != 0 {
+	if got := shardWAL(o, 1).MaxSeq(); got != 0 {
 		t.Fatalf("shard 1's WAL not rotated after recovery (MaxSeq %d)", got)
 	}
 }

@@ -1,23 +1,26 @@
-// Transport abstraction: the seam along which a manager shard moves out of
-// process. The overlay's mailbox protocol (msgSubmitBatch / query / drain /
-// update-reps, plus the fault-tolerance control operations) is mirrored here
-// as an interface; internal/cluster implements it over sockets, and
-// Options.Transport tells NewWithOptions which shards live behind it.
+// Transport abstraction: the seam between the overlay and the hosts of its
+// shards. Every shard is a ShardCore (core.go), and the overlay reaches each
+// one only through a ShardConn. Two hosts implement it: the in-process
+// Loopback (loopback.go), where a goroutine per shard applies operations
+// serially, and internal/cluster, where a worker process does the same
+// behind a socket. Options.Transport names the out-of-process host; every
+// shard it leaves unclaimed runs on a Loopback.
 //
-// The contract is deliberately shaped like the in-process mailbox:
+// The contract:
 //
 //   - Submit operations return a wait function, so a caller can issue one
 //     send per shard and then collect the acknowledgements — the
-//     send-all-then-collect overlap submitBatchDirect relies on, and the
-//     hook pipelined transports use to keep multiple batches in flight.
+//     send-all-then-collect overlap that lets shards apply their sub-batches
+//     concurrently, and the hook pipelined transports use to keep multiple
+//     batches in flight.
 //   - Per-entry ledger errors travel inside the reply ([]error, index-
-//     aligned, nil when everything landed); transport-level failures are the
+//     aligned, nil when everything landed); host-level failures are the
 //     second return and map onto the overlay's typed errors (a dead
-//     connection behaves like ErrShardDown, a lapsed deadline like
-//     ErrTimeout).
-//   - Crash/Restart/Mark/CompactWAL/ResetWAL mirror the overlay's shard
-//     lifecycle and durability surface: a remote shard owns its WAL, so the
-//     coordinator issues these as operations instead of touching files.
+//     connection or crashed core behaves like ErrShardDown, a lapsed
+//     deadline like ErrTimeout).
+//   - Crash/Restart/Mark/CompactWAL/ResetWAL are the shard lifecycle and
+//     durability surface: the host owns the shard's WAL, so the coordinator
+//     issues these as operations instead of touching files.
 package manager
 
 import (
@@ -26,8 +29,8 @@ import (
 	"socialtrust/internal/rating"
 )
 
-// BatchEntry is one rating of a batched submission, carrying the same
-// per-rating replica/deferred fate bits a standalone msgSubmit would.
+// BatchEntry is one rating of a fault-mode sub-batch, carrying its
+// per-delivery replica/deferred fate bits.
 type BatchEntry struct {
 	R        rating.Rating
 	Replica  bool // targets the shard's replica mirror ledger
@@ -42,14 +45,14 @@ type DrainSnapshots struct {
 	HasReplica bool
 }
 
-// ShardConn is one remote shard's endpoint. Implementations must be safe for
+// ShardConn is one shard's endpoint. Implementations must be safe for
 // concurrent use; the overlay drains all shards concurrently and submits from
-// many goroutines.
+// many goroutines. A host applies one shard's operations in arrival order.
 type ShardConn interface {
 	// SubmitPlain delivers a direct-mode sub-batch (primary ledger adds
 	// only). The returned wait function blocks until the shard acknowledges —
-	// there is no deadline, matching the in-process direct path, but a dead
-	// shard must eventually fail the wait rather than hang forever.
+	// there is no deadline, but a dead host must eventually fail the wait
+	// rather than hang forever.
 	SubmitPlain(rs []rating.Rating) func() ([]error, error)
 
 	// SubmitEntries delivers a fault-mode sub-batch with per-entry fate bits.
@@ -60,40 +63,35 @@ type ShardConn interface {
 	// snapshots. timeout bounds the wait (zero means no deadline).
 	Drain(timeout time.Duration) (DrainSnapshots, error)
 
-	// UpdateReps installs the freshly broadcast reputation vector.
-	UpdateReps(reps []float64, timeout time.Duration) error
-
-	// Crash kills the shard's remote incarnation: its interval ledgers are
+	// Crash kills the shard's incarnation: its interval ledgers are
 	// discarded, its WAL survives.
 	Crash() error
 
-	// Restart installs a fresh remote incarnation synced to reps, replaying
-	// the shard's primary WAL records above floor and its fated records
-	// (replica mirror, deferred queues) above replicaFloor. With
-	// markRecovered set the replayed sequence numbers are registered for
-	// duplicate-ack dedupe (the re-delivery path after a worker process
-	// loss).
-	Restart(reps []float64, floor, replicaFloor uint64, markRecovered bool) error
+	// Restart installs a fresh incarnation, replaying the shard's primary
+	// WAL records above floor and — with markRecovered set — its fated
+	// records (replica mirror, deferred queues) above replicaFloor, with the
+	// replayed sequence numbers registered for duplicate-ack dedupe. See
+	// ShardCore.Restart.
+	Restart(floor, replicaFloor uint64, markRecovered bool) error
 
 	// Mark stamps an interval mark on the shard's WAL (fsync per policy).
 	Mark(interval uint64) error
 
-	// CompactWAL rotates the shard's WAL if every record is at or below
-	// coveredSeq (the shard's drained high-water mark).
+	// CompactWAL rotates the shard's WAL if every record is covered by
+	// completed drains, coveredSeq being the shard's drained high-water mark.
 	CompactWAL(coveredSeq uint64) error
 
 	// ResetWAL discards the shard's WAL contents.
 	ResetWAL() error
 }
 
-// Transport routes shards out of process. Start is called once from
-// NewWithOptions — before any Shard endpoint is used — with the overlay
-// geometry and the initial reputation vector; Close is called from
-// Overlay.Close after the in-process shards have stopped.
+// Transport hosts shards. Start is called once from NewWithOptions — before
+// any Shard endpoint is used — with the overlay geometry; Close is called
+// from Overlay.Close.
 type Transport interface {
-	Start(numNodes int, replicated bool, reps []float64) error
-	// Shard returns shard i's remote endpoint, or nil to host the shard
-	// in-process.
+	Start(numNodes int, replicated bool) error
+	// Shard returns shard i's endpoint, or nil to leave the shard to the
+	// in-process Loopback.
 	Shard(i int) ShardConn
 	Close() error
 }

@@ -11,15 +11,14 @@ import (
 )
 
 // fakeShard is an in-memory stand-in for one worker-hosted shard: a ledger
-// pair, the broadcast vector copy, and a journal of every acknowledged rating
-// standing in for the worker's WAL (Restart replays it above the floor).
+// pair and a journal of every acknowledged rating standing in for the
+// worker's WAL (Restart replays it above the floor).
 type fakeShard struct {
 	mu       sync.Mutex
 	down     bool
 	ledger   *rating.Ledger
 	replica  *rating.Ledger
 	deferred []rating.Rating
-	reps     []float64
 	journal  []rating.Rating // acked ratings, in order — the fake WAL
 
 	marks    []uint64
@@ -48,13 +47,13 @@ func newFakeTransport(numShards int) *fakeTransport {
 	return &fakeTransport{numShards: numShards, local: map[int]bool{}}
 }
 
-func (ft *fakeTransport) Start(numNodes int, replicated bool, reps []float64) error {
+func (ft *fakeTransport) Start(numNodes int, replicated bool) error {
 	ft.started = true
 	ft.numNodes = numNodes
 	ft.replicated = replicated
 	ft.shards = make([]*fakeShard, ft.numShards)
 	for i := range ft.shards {
-		fs := &fakeShard{ledger: rating.NewLedger(numNodes), reps: append([]float64(nil), reps...)}
+		fs := &fakeShard{ledger: rating.NewLedger(numNodes)}
 		if replicated {
 			fs.replica = rating.NewLedger(numNodes)
 		}
@@ -159,17 +158,6 @@ func (p *fakePort) Drain(timeout time.Duration) (DrainSnapshots, error) {
 	return ds, nil
 }
 
-func (p *fakePort) UpdateReps(reps []float64, timeout time.Duration) error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.failWith != nil {
-		return fs.failWith
-	}
-	fs.reps = append(fs.reps[:0], reps...)
-	return nil
-}
-
 func (p *fakePort) Crash() error {
 	fs := p.shard()
 	fs.mu.Lock()
@@ -181,7 +169,7 @@ func (p *fakePort) Crash() error {
 	return nil
 }
 
-func (p *fakePort) Restart(reps []float64, floor, replicaFloor uint64, markRecovered bool) error {
+func (p *fakePort) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 	fs := p.shard()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -189,7 +177,6 @@ func (p *fakePort) Restart(reps []float64, floor, replicaFloor uint64, markRecov
 	if p.ft.replicated {
 		fs.replica = rating.NewLedger(p.ft.numNodes)
 	}
-	fs.reps = append([]float64(nil), reps...)
 	recovered := make(map[uint64]int)
 	for _, r := range fs.journal {
 		if r.Seq <= floor {
@@ -287,7 +274,7 @@ func TestTransportMirrorsInProcess(t *testing.T) {
 		if errs := local.SubmitBatch(trace); errs != nil {
 			t.Fatalf("interval %d: local SubmitBatch: %v", interval, errs)
 		}
-		// One single-rating submit exercises submitDirect's remote branch.
+		// One single-rating submit: a batch of one through the same path.
 		r := rating.Rating{Rater: 1, Ratee: 2, Value: 1, Seq: 10_000 + uint64(interval)}
 		if err := remote.Submit(r); err != nil {
 			t.Fatal(err)
@@ -301,8 +288,7 @@ func TestTransportMirrorsInProcess(t *testing.T) {
 				t.Fatalf("interval %d: reputation[%d] remote %v != local %v", interval, i, rr[i], lr[i])
 			}
 		}
-		// Queries are served from the coordinator's remoteReps mirror and must
-		// agree with the in-process broadcast copies.
+		// Queries are served from the published vector on both overlays.
 		for node := 0; node < n; node++ {
 			rq, err := remote.Query(node)
 			if err != nil {
@@ -314,17 +300,6 @@ func TestTransportMirrorsInProcess(t *testing.T) {
 			}
 			if rq != lq {
 				t.Fatalf("interval %d: query(%d) remote %v != local %v", interval, node, rq, lq)
-			}
-		}
-		// The broadcast reached every fake shard.
-		for i, fs := range ft.shards {
-			fs.mu.Lock()
-			reps := append([]float64(nil), fs.reps...)
-			fs.mu.Unlock()
-			for node := range reps {
-				if reps[node] != lr[node] {
-					t.Fatalf("interval %d: shard %d holds reps[%d]=%v, want %v", interval, i, node, reps[node], lr[node])
-				}
 			}
 		}
 	}

@@ -518,10 +518,9 @@ func (n *Network) buildOverlay() error {
 		// draws from the per-shard fault-verdict stream — shifting it
 		// diverges reputations run-to-run. Generous bounds keep the
 		// deadlock protection while leaving the seeded plan as the only
-		// source of loss. Down shards are detected via their down channel,
+		// source of loss. Down shards are detected via their down flag,
 		// never by waiting out these deadlines, so chaos runs don't slow.
 		opts.SubmitTimeout = 2 * time.Second
-		opts.QueryTimeout = 2 * time.Second
 		opts.DrainTimeout = 30 * time.Second
 	}
 	if n.Cfg.StateDir != "" {

@@ -186,6 +186,27 @@ func TestCrashRestartBitIdentity(t *testing.T) {
 			// and re-execution must reproduce the failover verdicts too.
 			halt: haltPoint{cycle: 2, qc: 5},
 		},
+		{
+			name: "overlay-chaos-delay-dup",
+			cfg: func() Config {
+				cfg := smallConfig(MCM, EngineEigenTrust, 0.2, true)
+				cfg.Managers = 4
+				cfg.Faults = fault.Config{
+					Seed:      5,
+					Delay:     0.2,
+					Duplicate: 0.1,
+					Crashes: []fault.Crash{
+						{Shard: 2, AtInterval: 2, Down: 1},
+						{Shard: 0, AtInterval: 4, Down: 2},
+					},
+				}
+				return cfg
+			},
+			// Dies mid-interval with delay-injected entries pending in the
+			// deferred queues and duplicates in the replica mirrors: the
+			// resumed shards restore both from their WALs' fated records.
+			halt: haltPoint{cycle: 4, qc: 6},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -237,8 +237,8 @@ func NewNetwork(cfg SimConfig) (*Network, error) { return sim.NewNetwork(cfg) }
 // Resource-manager overlay (internal/manager).
 type (
 	// ManagerOverlay is the distributed rating-collection overlay of the
-	// paper's Section 4.3: sharded manager goroutines collect ratings and
-	// serve reputation queries, with a periodic global update.
+	// paper's Section 4.3: sharded managers collect ratings and serve
+	// reputation queries, with a periodic global update.
 	ManagerOverlay = manager.Overlay
 	// ManagerOptions tunes the overlay's fault tolerance: per-operation
 	// timeouts, retry attempts/backoff, the drain deadline, and an optional
