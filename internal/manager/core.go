@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"socialtrust/internal/obs"
 	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 )
@@ -57,16 +58,20 @@ type drainCover struct {
 // OpenShardCore builds shard id's core for an overlay of numNodes nodes,
 // with a replica mirror when replicated. A non-empty stateDir attaches the
 // WAL <stateDir>/shard-<id>.wal; a torn tail left by a crash is truncated on
-// open.
+// open, with a warning.
 func OpenShardCore(id, numNodes int, replicated bool, stateDir string, opts persist.Options) (*ShardCore, error) {
 	c := &ShardCore{id: id, numNodes: numNodes, replicated: replicated}
 	if stateDir != "" {
 		if err := os.MkdirAll(stateDir, 0o755); err != nil {
 			return nil, err
 		}
-		w, _, err := persist.Open(filepath.Join(stateDir, fmt.Sprintf("shard-%d.wal", id)), opts)
+		w, rec, err := persist.Open(filepath.Join(stateDir, fmt.Sprintf("shard-%d.wal", id)), opts)
 		if err != nil {
 			return nil, err
+		}
+		if rec.Corrupt != nil {
+			obs.Logger().Warn("shard WAL had a torn tail; truncated to last valid record",
+				"shard", id, "bytes", rec.TruncatedBytes, "err", rec.Corrupt)
 		}
 		c.wal = w
 	}

@@ -899,13 +899,20 @@ func (o *Overlay) crashShard(i int) {
 // mergeSnapshots combines per-shard interval snapshots into one, restoring
 // the deterministic global ordering rating.Ledger guarantees. Nil or empty
 // entries — the partial-drain path, where a shard's snapshot never arrived —
-// contribute nothing.
+// contribute nothing. A lone snapshot with data (always so for a one-shard
+// overlay) is already in that order and is returned as is.
 func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
-	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	var live []rating.Snapshot
 	for _, s := range snaps {
-		if len(s.Ratings) == 0 && len(s.Counts) == 0 {
-			continue
+		if len(s.Ratings) > 0 || len(s.Counts) > 0 {
+			live = append(live, s)
 		}
+	}
+	if len(live) == 1 {
+		return live[0]
+	}
+	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	for _, s := range live {
 		out.Ratings = append(out.Ratings, s.Ratings...)
 		for k, c := range s.Counts {
 			agg := out.Counts[k]

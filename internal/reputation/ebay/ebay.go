@@ -117,12 +117,15 @@ func (e *Engine) ExportState() State {
 	return State{Scores: append([]float64(nil), e.scores...)}
 }
 
-// ImportState restores a previously exported state bit-exactly.
-func (e *Engine) ImportState(st State) {
+// ImportState restores a previously exported state bit-exactly. A state
+// sized for a different node count is rejected with an error and leaves the
+// engine untouched.
+func (e *Engine) ImportState(st State) error {
 	if len(st.Scores) != e.numNodes {
-		panic(fmt.Sprintf("ebay: state with %d scores imported into %d-node engine", len(st.Scores), e.numNodes))
+		return fmt.Errorf("ebay: state with %d scores imported into %d-node engine", len(st.Scores), e.numNodes)
 	}
 	e.scores = append(e.scores[:0], st.Scores...)
+	return nil
 }
 
 // contribution is one rater's deduplicated feedback for the interval:

@@ -666,9 +666,11 @@ func (e *Engine) ExportState() State {
 // eagerly, leaving the dirty flags clean — exactly the state the exporting
 // engine was in at its interval boundary, so a subsequent quiet interval
 // still takes the warm-start skip and a busy one folds in bit-identically.
-func (e *Engine) ImportState(st State) {
+// A state sized for a different node count is rejected with an error and
+// leaves the engine untouched.
+func (e *Engine) ImportState(st State) error {
 	if len(st.T) != e.cfg.NumNodes {
-		panic(fmt.Sprintf("eigentrust: state with %d-node trust vector imported into %d-node engine", len(st.T), e.cfg.NumNodes))
+		return fmt.Errorf("eigentrust: state with %d-node trust vector imported into %d-node engine", len(st.T), e.cfg.NumNodes)
 	}
 	e.sums = make(map[rating.PairKey]float64, len(st.Sums))
 	e.out = make(map[int]map[int]float64)
@@ -689,4 +691,5 @@ func (e *Engine) ImportState(st State) {
 	e.clearDirtyRows()
 	e.rebuildCSR()
 	e.stats = st.Stats
+	return nil
 }

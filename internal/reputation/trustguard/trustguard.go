@@ -254,10 +254,13 @@ func (e *Engine) ExportState() State {
 	return st
 }
 
-// ImportState restores a previously exported state bit-exactly.
-func (e *Engine) ImportState(st State) {
-	if len(st.HistSum) != e.cfg.NumNodes {
-		panic(fmt.Sprintf("trustguard: state for %d nodes imported into %d-node engine", len(st.HistSum), e.cfg.NumNodes))
+// ImportState restores a previously exported state bit-exactly. A state
+// whose per-node vectors are not all sized for the engine's node count is
+// rejected with an error and leaves the engine untouched.
+func (e *Engine) ImportState(st State) error {
+	if n := e.cfg.NumNodes; len(st.HistSum) != n || len(st.HistN) != n || len(st.Rep) != n {
+		return fmt.Errorf("trustguard: state for %d/%d/%d nodes (sum/count/rep) imported into %d-node engine",
+			len(st.HistSum), len(st.HistN), len(st.Rep), n)
 	}
 	e.opinions = make(map[rating.PairKey]*opinion, len(st.Opinions))
 	for _, o := range st.Opinions {
@@ -266,4 +269,5 @@ func (e *Engine) ImportState(st State) {
 	e.histSum = append(e.histSum[:0], st.HistSum...)
 	e.histN = append(e.histN[:0], st.HistN...)
 	e.rep = append(e.rep[:0], st.Rep...)
+	return nil
 }

@@ -239,13 +239,12 @@ type Config struct {
 	SocialTrust bool        // wrap the engine with the SocialTrust filter
 	Filter      core.Config // SocialTrust parameters (NumNodes is filled in)
 
-	// Managers, when positive, routes every rating through a resource-
-	// manager overlay of that many manager goroutines (the paper's Section
-	// 4.3 architecture) instead of the in-process ledger, and drives the
-	// periodic reputation update through the overlay's drain/merge/broadcast
-	// path. Zero keeps the direct ledger (the default; results are
-	// statistically identical but float summation order differs, so vectors
-	// are not bit-equal across the two modes).
+	// Managers is the number of resource managers (the paper's Section 4.3
+	// architecture): every rating is routed through an overlay of that many
+	// manager shards, and the periodic reputation update is driven through
+	// the overlay's drain/merge/publish path. Zero means the default of one
+	// manager. The merge restores one global rating order, so reputations
+	// are bit-identical for every shard count.
 	Managers int
 
 	// Cluster, when positive, hosts the manager shards in that many worker
@@ -264,8 +263,8 @@ type Config struct {
 	// Faults, when enabled, runs the manager overlay in fault-tolerant mode
 	// against a deterministic fault-injection plan (message drops/delays/
 	// duplication and shard crash/restart schedules — see internal/fault).
-	// Requires Managers > 0: faults are injected at the manager mailbox
-	// boundary, which the direct-ledger path does not have.
+	// Requires an explicit Managers > 0: the plan's crash schedule names
+	// shards, and replica failover needs a successor shard to mirror onto.
 	Faults fault.Config
 
 	// Harness.
@@ -289,19 +288,18 @@ type Config struct {
 	AuditDir string
 
 	// StateDir, when non-empty, makes the run durable: every accepted rating
-	// is journaled to a write-ahead log under this directory before it is
-	// acknowledged (per manager shard in Managers mode, one run-wide log
-	// otherwise), and a snapshot of the complete run state — ledger history,
-	// social graph, reputation vectors, filter history, RNG stream positions,
-	// fault-plan state and the audit event stream — is written atomically at
-	// every interval boundary. A run restarted over the same directory after
-	// a crash loads the last snapshot, replays the WAL tail (truncating a
-	// torn final record), and resumes mid-interval, producing reputations,
-	// detection tables and audit event streams bit-identical to an
-	// uninterrupted run of the same seed. The directory must either be fresh
-	// or have been written by the same configuration; only Workers and the
-	// output directories (AuditDir/TraceDir) may differ between the original
-	// and the resumed process.
+	// is journaled to its manager shard's write-ahead log (shards/shard-N.wal
+	// under this directory) before it is acknowledged, and a snapshot of the
+	// complete run state — social graph, reputation vectors, filter history,
+	// RNG stream positions, fault-plan state and the audit event stream — is
+	// written atomically at every interval boundary. A run restarted over the
+	// same directory after a crash loads the last snapshot, replays the shard
+	// WAL tails (truncating a torn final record), and resumes mid-interval,
+	// producing reputations, detection tables and audit event streams
+	// bit-identical to an uninterrupted run of the same seed. The directory
+	// must either be fresh or have been written by the same configuration;
+	// only Workers and the output directories (AuditDir/TraceDir) may differ
+	// between the original and the resumed process.
 	StateDir string
 
 	// TraceDir, when non-empty, makes Run record the interval trace: the

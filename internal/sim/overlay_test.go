@@ -1,42 +1,49 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"socialtrust/internal/fault"
 )
 
-// TestOverlayModeMatchesDirect runs the same seeded experiment through the
-// direct ledger and through a 4-shard resource-manager overlay. The overlay
-// merge restores the ledger's deterministic global ordering, so request
-// accounting must match exactly and reputations to float tolerance.
-func TestOverlayModeMatchesDirect(t *testing.T) {
-	cfg := DefaultConfig(PCM, EngineEigenTrust, 0.6, true)
-	cfg.QueryCycles, cfg.SimulationCycles = 5, 4
-	cfg.Seed = 7
-
-	direct, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Managers = 4
-	overlay, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if direct.TotalRequests != overlay.TotalRequests {
-		t.Fatalf("requests: direct %d, overlay %d", direct.TotalRequests, overlay.TotalRequests)
-	}
-	if direct.AuthenticServed != overlay.AuthenticServed {
-		t.Fatalf("authentic: direct %d, overlay %d", direct.AuthenticServed, overlay.AuthenticServed)
-	}
-	for i := range direct.FinalReputations {
-		if d := math.Abs(direct.FinalReputations[i] - overlay.FinalReputations[i]); d > 1e-9 {
-			t.Fatalf("reputation[%d]: direct %g, overlay %g (Δ %g)",
-				i, direct.FinalReputations[i], overlay.FinalReputations[i], d)
-		}
+// TestShardCountBitIdentity runs the same seeded experiment through the
+// default single manager (Managers 0), one explicit manager, and a 4-shard
+// overlay. The overlay merge restores the ledger's deterministic global
+// ordering whatever the shard count, so request accounting, the per-cycle
+// reputation history and the final vector must all match bit for bit.
+func TestShardCountBitIdentity(t *testing.T) {
+	for _, model := range []CollusionModel{PCM, MCM, MMM} {
+		t.Run(model.String(), func(t *testing.T) {
+			cfg := DefaultConfig(model, EngineEigenTrust, 0.6, true)
+			cfg.QueryCycles, cfg.SimulationCycles = 5, 4
+			cfg.Seed = 7
+			ref, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, managers := range []int{1, 4} {
+				cfg.Managers = managers
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.TotalRequests != ref.TotalRequests || got.AuthenticServed != ref.AuthenticServed {
+					t.Fatalf("Managers=%d: requests %d/%d authentic, want %d/%d",
+						managers, got.TotalRequests, got.AuthenticServed, ref.TotalRequests, ref.AuthenticServed)
+				}
+				if len(got.History) != len(ref.History) {
+					t.Fatalf("Managers=%d: history length %d, want %d", managers, len(got.History), len(ref.History))
+				}
+				for c := range ref.History {
+					if !sameBits(got.History[c], ref.History[c]) {
+						t.Fatalf("Managers=%d: reputation history diverges at cycle %d", managers, c+1)
+					}
+				}
+				if !sameBits(got.FinalReputations, ref.FinalReputations) {
+					t.Fatalf("Managers=%d: final reputations diverge from Managers=0", managers)
+				}
+			}
+		})
 	}
 }
 

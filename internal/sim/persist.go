@@ -1,10 +1,11 @@
-// Run-level durability: with Config.StateDir set, the simulator journals
-// every generated rating to a write-ahead log before it is acknowledged (per
-// manager shard in Managers mode, one run-wide log otherwise) and writes an
+// Run-level durability: with Config.StateDir set, every manager shard
+// journals the ratings it accepts to its own write-ahead log under
+// StateDir/shards before acknowledging them, and the simulator writes an
 // atomic snapshot of the complete run state at every interval boundary — the
 // end of each simulation cycle, after the reputation update. A process
-// restarted over the same directory loads the snapshot, replays the WAL tail
-// of the interrupted interval, and re-executes that interval from its start:
+// restarted over the same directory loads the snapshot, the overlay replays
+// its shards' WAL tails of the interrupted interval, and the simulator
+// re-executes that interval from its start:
 // every random stream resumes from its recorded position, so the re-execution
 // regenerates exactly the ratings the dead process generated, and replayed
 // sequence numbers are acknowledged without double-counting. Reputations,
@@ -23,7 +24,6 @@ import (
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/event"
 	"socialtrust/internal/persist"
-	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
 	"socialtrust/internal/reputation/eigentrust"
 	"socialtrust/internal/reputation/trustguard"
@@ -80,9 +80,9 @@ type runState struct {
 	EngineTG   *trustguard.State
 	Fault      *fault.State
 
-	// DrainedSeqs holds the overlay's per-shard drained sequence marks
-	// (Managers mode only): WAL records at or below a shard's mark are
-	// covered by drains this snapshot already accounts for.
+	// DrainedSeqs holds the overlay's per-shard drained sequence marks: WAL
+	// records at or below a shard's mark are covered by drains this snapshot
+	// already accounts for.
 	DrainedSeqs []uint64
 
 	// Audit event stream through this boundary.
@@ -110,55 +110,22 @@ func (n *Network) fingerprint() string {
 	return fmt.Sprintf("%+v", c)
 }
 
-// simJournal adapts the run-wide WAL to the ledger's write-ahead hook
-// (direct-ledger mode; the overlay journals inside its shards).
-type simJournal struct{ w *persist.WAL }
-
-func (j simJournal) Append(rs []rating.Rating) error {
-	recs := make([]persist.Record, len(rs))
-	for i, r := range rs {
-		recs[i] = persist.Record{
-			Kind:     persist.KindRating,
-			Seq:      r.Seq,
-			Rater:    int32(r.Rater),
-			Ratee:    int32(r.Ratee),
-			Cycle:    int32(r.Cycle),
-			Category: int32(r.Category),
-			Value:    r.Value,
-		}
-	}
-	return j.w.Append(recs)
-}
-
 // initPersist opens the durability layer at construction: the state
-// directory, the run-wide rating WAL (direct-ledger mode; overlay shard WALs
-// were opened by the overlay itself), and — when an interval-boundary
-// snapshot is present — the resume state, validated against the
-// configuration fingerprint. Called from NewNetwork after buildOverlay.
+// directory (the overlay opened its shard WALs itself) and — when an
+// interval-boundary snapshot is present — the resume state, validated
+// against the configuration fingerprint. Called from NewNetwork after
+// buildOverlay.
 func (n *Network) initPersist() error {
 	cfg := n.Cfg
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return err
 	}
-	if n.Overlay == nil {
-		w, rec, err := persist.Open(filepath.Join(cfg.StateDir, "ratings.wal"), persist.Options{})
-		if err != nil {
-			return err
-		}
-		if rec.Corrupt != nil {
-			obs.Logger().Warn("rating WAL had a torn tail; truncated to last valid record",
-				"bytes", rec.TruncatedBytes, "err", rec.Corrupt)
-		}
-		n.simWAL = w
-	}
 	if persist.SnapshotExists(n.snapshotPath()) {
 		var st runState
 		if err := persist.LoadSnapshot(n.snapshotPath(), &st); err != nil {
-			n.closePersist()
 			return fmt.Errorf("sim: state dir %s: %w", cfg.StateDir, err)
 		}
 		if st.Fingerprint != n.fingerprint() {
-			n.closePersist()
 			return fmt.Errorf("sim: snapshot in %s was written by a different configuration; use a fresh state dir or rerun with identical parameters", cfg.StateDir)
 		}
 		n.resume = &st
@@ -176,24 +143,10 @@ func (n *Network) startFresh(res *Result, lastAbove []int, everAbove []bool, rep
 	if !n.durable() {
 		return
 	}
-	if n.Overlay != nil {
-		if err := n.Overlay.ResetWALs(); err != nil {
-			obs.Logger().Warn("resetting shard WALs failed; durability degraded", "err", err)
-		}
-	} else if n.simWAL != nil {
-		if err := n.simWAL.Rotate(); err != nil {
-			obs.Logger().Warn("resetting rating WAL failed; durability degraded", "err", err)
-		}
+	if err := n.Overlay.ResetWALs(); err != nil {
+		obs.Logger().Warn("resetting shard WALs failed; durability degraded", "err", err)
 	}
 	n.checkpoint(res, lastAbove, everAbove, reps, 0)
-}
-
-// attachJournal installs the write-ahead journal on the direct-path ledger.
-// Called after any resume replay so replayed records are not re-journaled.
-func (n *Network) attachJournal() {
-	if n.simWAL != nil {
-		n.Ledger.SetJournal(simJournal{n.simWAL})
-	}
 }
 
 // checkpoint captures and writes the interval-boundary snapshot, then trims
@@ -211,14 +164,8 @@ func (n *Network) checkpoint(res *Result, lastAbove []int, everAbove []bool, rep
 		obs.Logger().Warn("interval checkpoint failed; durability degraded", "cycle", cycle, "err", err)
 		return
 	}
-	if n.Overlay != nil {
-		if err := n.Overlay.CompactWALs(); err != nil {
-			obs.Logger().Warn("shard WAL compaction failed", "err", err)
-		}
-	} else if n.simWAL != nil {
-		if err := n.simWAL.Rotate(); err != nil {
-			obs.Logger().Warn("rating WAL rotation failed", "err", err)
-		}
+	if err := n.Overlay.CompactWALs(); err != nil {
+		obs.Logger().Warn("shard WAL compaction failed", "err", err)
 	}
 }
 
@@ -252,6 +199,7 @@ func (n *Network) captureState(res *Result, lastAbove []int, everAbove []bool, r
 		NodeRNGDraws:          make([]uint64, len(n.Nodes)),
 		ChurnDraws:            n.churnRNG.SourceDraws(),
 		Graph:                 n.Graph.ExportState(),
+		DrainedSeqs:           n.Overlay.DrainedSeqs(),
 	}
 	for t, c := range res.ServedByType {
 		st.ServedByType[t] = c
@@ -282,9 +230,6 @@ func (n *Network) captureState(res *Result, lastAbove []int, everAbove []bool, r
 		fs := n.FaultPlan.ExportState()
 		st.Fault = &fs
 	}
-	if n.Overlay != nil {
-		st.DrainedSeqs = n.Overlay.DrainedSeqs()
-	}
 	if rec := event.Current(); rec != nil {
 		n.savedEvents = append(n.savedEvents, rec.Drain()...)
 		st.Events = n.savedEvents
@@ -295,19 +240,23 @@ func (n *Network) captureState(res *Result, lastAbove []int, everAbove []bool, r
 
 // applyResume restores the snapshot found at construction: every substrate
 // state, the Result accumulators, and all random stream positions. The
-// interrupted interval's acknowledged WAL tail is replayed into the ledger
-// (or handed to the overlay's Resume) with its sequence numbers registered as
-// recovered, so the deterministic re-execution of that interval neither loses
-// nor double-counts a rating. Returns the boundary reputation vector and the
+// overlay's Resume replays the interrupted interval's acknowledged shard WAL
+// tails with their sequence numbers registered as recovered, so the
+// deterministic re-execution of that interval neither loses nor
+// double-counts a rating. Returns the boundary reputation vector and the
 // cycle index to resume at, or an error when the snapshot's content cannot
-// be restored (a malformed graph state, a missing substrate state, or an
-// overlay that refuses the resume).
+// be restored (a vector sized for another configuration, a malformed graph
+// or engine state, a missing substrate state, or an overlay that refuses the
+// resume).
 func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([]float64, int, error) {
 	st := n.resume
 	n.resume = nil
 	persist.RecoveryStarted()
 	obs.Logger().Info("resuming from interval-boundary snapshot",
 		"state_dir", n.Cfg.StateDir, "cycle", st.Cycle, "seq", st.Seq)
+	if err := n.checkShape(st); err != nil {
+		return nil, 0, err
+	}
 	if err := n.Graph.ImportState(st.Graph); err != nil {
 		return nil, 0, fmt.Errorf("sim: snapshot graph state: %w", err)
 	}
@@ -317,24 +266,28 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 		}
 		n.Filter.ImportState(*st.Filter)
 	}
+	var err error
 	switch e := n.inner.(type) {
 	case *eigentrust.Engine:
 		if st.EngineET == nil {
 			return nil, 0, errors.New("sim: snapshot is missing the EigenTrust engine state")
 		}
-		e.ImportState(*st.EngineET)
+		err = e.ImportState(*st.EngineET)
 	case *ebay.Engine:
 		if st.EngineEBay == nil {
 			return nil, 0, errors.New("sim: snapshot is missing the eBay engine state")
 		}
-		e.ImportState(*st.EngineEBay)
+		err = e.ImportState(*st.EngineEBay)
 	case *trustguard.Engine:
 		if st.EngineTG == nil {
 			return nil, 0, errors.New("sim: snapshot is missing the TrustGuard engine state")
 		}
-		e.ImportState(*st.EngineTG)
+		err = e.ImportState(*st.EngineTG)
 	default:
 		panic(fmt.Sprintf("sim: engine %T has no snapshot support", n.inner))
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("sim: snapshot engine state: %w", err)
 	}
 	if n.FaultPlan != nil {
 		if st.Fault == nil {
@@ -345,10 +298,14 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 	for i, node := range n.Nodes {
 		node.Good = st.NodeGood[i]
 		node.honeymoon = st.NodeHoneymoon[i]
-		fastForward(node.rng, st.NodeRNGDraws[i])
+		if err := fastForward(node.rng, st.NodeRNGDraws[i]); err != nil {
+			return nil, 0, err
+		}
 	}
 	copy(n.online, st.Online)
-	fastForward(n.churnRNG, st.ChurnDraws)
+	if err := fastForward(n.churnRNG, st.ChurnDraws); err != nil {
+		return nil, 0, err
+	}
 	n.seq = st.Seq
 	n.ratingsLost = st.RatingsLost
 	n.savedEvents = append(n.savedEvents, st.Events...)
@@ -370,58 +327,45 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 	res.PerCycleColluderShare = st.PerCycleColluderShare
 	copy(lastAbove, st.LastAbove)
 	copy(everAbove, st.EverAbove)
-	reps := append([]float64(nil), st.Reps...)
-	if n.Overlay != nil {
-		if err := n.Overlay.Resume(st.DrainedSeqs, st.Seq, st.Reps); err != nil {
-			return nil, 0, fmt.Errorf("sim: overlay resume: %w", err)
-		}
-	} else if n.simWAL != nil {
-		n.replaySimWAL(st.Seq)
+	if err := n.Overlay.Resume(st.DrainedSeqs, st.Seq, st.Reps); err != nil {
+		return nil, 0, fmt.Errorf("sim: overlay resume: %w", err)
 	}
-	return reps, st.Cycle, nil
+	return append([]float64(nil), st.Reps...), st.Cycle, nil
 }
 
-// replaySimWAL replays the run-wide WAL's acknowledged tail — rating records
-// above the snapshot's sequence high-water — into the direct-path ledger,
-// registering each replayed sequence as recovered. Must run before
-// attachJournal so the replay is not re-journaled. A torn tail was already
-// truncated at Open; a decode error here replays the valid prefix (the
-// re-executed interval regenerates whatever was lost).
-func (n *Network) replaySimWAL(above uint64) {
-	recs, err := n.simWAL.ReadBack()
-	if err != nil {
-		obs.Logger().Warn("rating WAL replay hit a corrupt record; replaying valid prefix", "err", err)
-	}
-	recovered := make(map[uint64]int)
-	for _, rec := range recs {
-		if rec.Kind != persist.KindRating || rec.Seq <= above {
-			continue
+// checkShape rejects a snapshot whose per-node or per-colluder vectors are
+// not sized for this configuration. The CRC and the fingerprint cannot catch
+// that: restoring a short vector would panic mid-restore, or keep the fresh
+// run's values past its end without a word.
+func (n *Network) checkShape(st *runState) error {
+	nodes, colluders := n.Cfg.NumNodes, n.Cfg.NumColluders
+	for _, v := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Online", len(st.Online), nodes},
+		{"NodeGood", len(st.NodeGood), nodes},
+		{"NodeHoneymoon", len(st.NodeHoneymoon), nodes},
+		{"NodeRNGDraws", len(st.NodeRNGDraws), nodes},
+		{"Reps", len(st.Reps), nodes},
+		{"LastAbove", len(st.LastAbove), colluders},
+		{"EverAbove", len(st.EverAbove), colluders},
+	} {
+		if v.got != v.want {
+			return fmt.Errorf("sim: snapshot %s has %d entries, want %d", v.name, v.got, v.want)
 		}
-		r := rating.Rating{
-			Rater:    int(rec.Rater),
-			Ratee:    int(rec.Ratee),
-			Value:    rec.Value,
-			Cycle:    int(rec.Cycle),
-			Category: int(rec.Category),
-			Seq:      rec.Seq,
-		}
-		if err := n.Ledger.Add(r); err != nil {
-			continue // validated at original ingest; defensive only
-		}
-		recovered[rec.Seq]++
 	}
-	if len(recovered) > 0 {
-		n.Ledger.MarkRecovered(recovered)
-	}
+	return nil
 }
 
 // fastForward advances a fresh random stream to a snapshotted position.
-func fastForward(s *xrand.Stream, target uint64) {
+func fastForward(s *xrand.Stream, target uint64) error {
 	cur := s.SourceDraws()
 	if cur > target {
-		panic(fmt.Sprintf("sim: random stream already past restore point (%d > %d)", cur, target))
+		return fmt.Errorf("sim: random stream already past restore point (%d > %d)", cur, target)
 	}
 	s.Discard(target - cur)
+	return nil
 }
 
 // abandon stands in for the process dying mid-run (the haltAt test hook):
@@ -429,17 +373,6 @@ func fastForward(s *xrand.Stream, target uint64) {
 // kill -9 would not have left behind — every append was flushed to the OS
 // before its ingest was acknowledged.
 func (n *Network) abandon() {
-	if n.Overlay != nil {
-		n.Overlay.Close()
-	}
+	n.Overlay.Close()
 	n.closeCluster()
-	n.closePersist()
-}
-
-// closePersist flushes and closes the run-wide WAL, if open.
-func (n *Network) closePersist() {
-	if n.simWAL != nil {
-		_ = n.simWAL.Close()
-		n.simWAL = nil
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/eigentrust"
+	"socialtrust/internal/xrand"
 )
 
 // runOutcome is everything a durability comparison judges: the full Result
@@ -232,15 +233,16 @@ func TestCrashRestartTwice(t *testing.T) {
 }
 
 // TestCrashRestartTornTail is the torn-write integration variant: the
-// process dies mid-append, leaving a partial final record in the rating WAL.
-// Open truncates the torn frame; the lost suffix is regenerated by the
-// deterministic re-execution, so the resumed run is still bit-identical.
+// process dies mid-append, leaving a partial final record in the default
+// single shard's WAL. Open truncates the torn frame; the lost suffix is
+// regenerated by the deterministic re-execution, so the resumed run is
+// still bit-identical.
 func TestCrashRestartTornTail(t *testing.T) {
 	cfg := func() Config { return smallConfig(MCM, EngineEigenTrust, 0.2, true) }
 	ref := runToCompletion(t, cfg(), "")
 	dir := t.TempDir()
 	runUntilCrash(t, cfg(), dir, haltPoint{cycle: 3, qc: 5})
-	walPath := filepath.Join(dir, "ratings.wal")
+	walPath := filepath.Join(dir, "shards", "shard-0.wal")
 	info, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +328,9 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			n2.Filter.ImportState(fs)
-			n2.inner.(*eigentrust.Engine).ImportState(es)
+			if err := n2.inner.(*eigentrust.Engine).ImportState(es); err != nil {
+				t.Fatal(err)
+			}
 			if got := n2.Graph.ExportState(); !reflect.DeepEqual(gs, got) {
 				t.Fatal("graph state did not round-trip")
 			}
@@ -365,28 +369,64 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMalformedGraphState pins that a snapshot whose social
-// graph state is malformed makes the resumed run return an error instead
-// of panicking.
-func TestResumeRejectsMalformedGraphState(t *testing.T) {
-	cfg := smallConfig(MCM, EngineEigenTrust, 0.2, true)
-	dir := t.TempDir()
-	runUntilCrash(t, cfg, dir, haltPoint{cycle: 2, qc: 3})
-	path := filepath.Join(dir, "snapshot.st")
-	var st runState
-	if err := persist.LoadSnapshot(path, &st); err != nil {
-		t.Fatal(err)
+// TestResumeRejectsMalformedState pins that a snapshot which passes its CRC
+// but whose content does not fit the configuration makes the resumed run
+// return an error — never a panic, and never a silent half-restore that keeps
+// the fresh run's values past the end of a short vector.
+func TestResumeRejectsMalformedState(t *testing.T) {
+	cases := []struct {
+		name   string
+		engine EngineKind
+		model  CollusionModel
+		bend   func(st *runState)
+		want   string
+	}{
+		{"graph", EngineEigenTrust, MCM, func(st *runState) {
+			st.Graph.Edges = append(st.Graph.Edges, st.Graph.Edges[len(st.Graph.Edges)-1])
+		}, "graph state"},
+		{"node-good", EngineEigenTrust, MCM, func(st *runState) { st.NodeGood = st.NodeGood[1:] }, "NodeGood"},
+		{"node-honeymoon", EngineEigenTrust, MCM, func(st *runState) { st.NodeHoneymoon = st.NodeHoneymoon[1:] }, "NodeHoneymoon"},
+		{"node-rng-draws", EngineEigenTrust, MCM, func(st *runState) { st.NodeRNGDraws = st.NodeRNGDraws[1:] }, "NodeRNGDraws"},
+		{"online", EngineEigenTrust, MCM, func(st *runState) { st.Online = st.Online[1:] }, "Online"},
+		{"reps", EngineEigenTrust, MCM, func(st *runState) { st.Reps = st.Reps[1:] }, "Reps"},
+		{"last-above", EngineEigenTrust, MCM, func(st *runState) { st.LastAbove = st.LastAbove[:len(st.LastAbove)-1] }, "LastAbove"},
+		{"ever-above", EngineEigenTrust, MCM, func(st *runState) { st.EverAbove = st.EverAbove[:len(st.EverAbove)-1] }, "EverAbove"},
+		{"eigentrust", EngineEigenTrust, MCM, func(st *runState) { st.EngineET.T = st.EngineET.T[1:] }, "engine state"},
+		{"ebay", EngineEBay, PCM, func(st *runState) { st.EngineEBay.Scores = st.EngineEBay.Scores[1:] }, "engine state"},
+		{"trustguard", EngineTrustGuard, MMM, func(st *runState) { st.EngineTG.Rep = st.EngineTG.Rep[1:] }, "engine state"},
 	}
-	if len(st.Graph.Edges) == 0 {
-		t.Fatal("snapshot holds no edges to corrupt")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(tc.model, tc.engine, 0.2, true)
+			dir := t.TempDir()
+			runUntilCrash(t, cfg, dir, haltPoint{cycle: 2, qc: 3})
+			path := filepath.Join(dir, "snapshot.st")
+			var st runState
+			if err := persist.LoadSnapshot(path, &st); err != nil {
+				t.Fatal(err)
+			}
+			tc.bend(&st)
+			if err := persist.WriteSnapshot(path, &st); err != nil {
+				t.Fatal(err)
+			}
+			cfg.StateDir = dir
+			res, err := Run(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run over the bent snapshot = (%v, %v), want an error naming %q", res, err, tc.want)
+			}
+		})
 	}
-	st.Graph.Edges = append(st.Graph.Edges, st.Graph.Edges[len(st.Graph.Edges)-1])
-	if err := persist.WriteSnapshot(path, &st); err != nil {
-		t.Fatal(err)
+}
+
+// TestFastForwardPastRestorePoint pins that a stream already beyond its
+// recorded position is reported, not rewound or panicked on.
+func TestFastForwardPastRestorePoint(t *testing.T) {
+	s := xrand.New(1)
+	s.Float64()
+	if err := fastForward(s, 0); err == nil {
+		t.Fatal("fast-forwarding a stream past its restore point did not error")
 	}
-	cfg.StateDir = dir
-	res, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "graph state") {
-		t.Fatalf("Run over a malformed graph snapshot = (%v, %v), want a graph state error", res, err)
+	if err := fastForward(s, s.SourceDraws()+3); err != nil || s.SourceDraws() != 4 {
+		t.Fatalf("fastForward(+3) = %v, draws %d, want nil and 4", err, s.SourceDraws())
 	}
 }

@@ -231,7 +231,9 @@ func DefaultChurn() ChurnConfig { return sim.DefaultChurn() }
 // RunSim executes one simulation.
 func RunSim(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 
-// NewNetwork constructs a simulation instance without running it.
+// NewNetwork constructs a simulation instance without running it. Its
+// manager overlay is already serving; a network that is never run is
+// released with Overlay.Close.
 func NewNetwork(cfg SimConfig) (*Network, error) { return sim.NewNetwork(cfg) }
 
 // Resource-manager overlay (internal/manager).
